@@ -59,7 +59,6 @@ from .robustness import (
     m11_frequency_response,
     sandwich_bounds,
     sector_stability_check,
-    selection_matrix,
     single_edge_margin,
     single_edge_sector_check,
     small_gain_margin,

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import graph as gr
-from . import resistance as rs
 from . import robustness as rb
 from . import simulation as sim
 from . import spectral as sp
@@ -443,8 +442,8 @@ def cmd_simulate(args) -> int:
         if not (0 <= k < g.edge_count):
             raise InputError(f"--perturb edge {k} out of range for {g.edge_count} edges")
         w[k] += d
-    E = gr.incidence_matrix(g)
-    lam_max = float(np.linalg.eigvalsh((E * w) @ E.T)[-1])
+    perturbed = gr._with_weights(g, w) if delta else g
+    lam_max = float(np.linalg.eigvalsh(gr.laplacian(perturbed))[-1])
     for k in couplings:
         if not (0 <= k < g.edge_count):
             raise InputError(f"--nonlinear edge {k} out of range for {g.edge_count} edges")
@@ -459,15 +458,11 @@ def cmd_simulate(args) -> int:
         store_every=args.store_every,
     )
     if couplings:
-        base = g if not delta else gr.WeightedGraph(
-            g.node_count,
-            tuple((u, v, float(wk)) for (u, v, _), wk in zip(g.edges, w)),
-        )
         edges_sorted = sorted(couplings)
         coupling = sim.NonlinearCoupling(tuple(couplings[k] for k in edges_sorted))
-        traj = sim.simulate_nonlinear(base, edges_sorted, coupling, config)
+        traj = sim.simulate_nonlinear(perturbed, edges_sorted, coupling, config)
     else:
-        traj = sim.simulate_linear(g, delta or None, config)
+        traj = sim.simulate_linear(perturbed, None, config)
     sim.write_trajectory_csv(traj, args.out)
 
     outcome, clusters = _outcome(traj)
@@ -520,12 +515,12 @@ def cmd_repro_sec6(args) -> int:
     margin = worst.global_margin
 
     # independent argmax: per-edge resistance from the Laplacian pseudoinverse
-    Lp = sp.pseudoinverse(gr.laplacian(g))
+    L = gr.laplacian(g)
+    Lp = sp.pseudoinverse(L)
     res_scan = np.array([Lp[a, a] - 2.0 * Lp[a, b] + Lp[b, b] for a, b, _ in g.edges])
     scan_edge = int(np.argmax(res_scan))
     binding_matches_scan = scan_edge == k_bind
 
-    L = gr.laplacian(g)
     eigvals = np.linalg.eigvalsh(L)
     lam2 = _positive_floor(eigvals)
     lam_max = float(eigvals[-1])
@@ -548,14 +543,13 @@ def cmd_repro_sec6(args) -> int:
 
     w_pert = g.weights.copy()
     w_pert[k_bind] -= margin
-    E = gr.incidence_matrix(g)
-    lam2_boundary = _positive_floor(np.linalg.eigvalsh((E * w_pert) @ E.T))
+    lam2_boundary = _positive_floor(np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert))))
     t_boundary = max(20.0, 40.0 / lam2_boundary) if lam2_boundary > 0 else 60.0
     traj_boundary = run_linear("boundary.csv", {k_bind: -margin}, t_boundary)
     clusters = sim.detect_clusters(traj_boundary.states[-1])
 
     w_pert[k_bind] = w_bind - 1.001 * margin
-    lam_neg = float(np.linalg.eigvalsh((E * w_pert) @ E.T)[0])
+    lam_neg = float(np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert)))[0])
     t_beyond = 40.0 / abs(lam_neg) if lam_neg < 0 else 2000.0
     traj_beyond = run_linear("beyond.csv", {k_bind: -1.001 * margin}, t_beyond)
 

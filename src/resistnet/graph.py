@@ -79,6 +79,28 @@ class WeightedGraph:
     def weights(self) -> np.ndarray:
         return np.array([e[2] for e in self.edges], dtype=float)
 
+    @cached_property
+    def grounded_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs ``(lam, U)`` of the grounded Laplacian pencil, shared by every analysis.
+
+        Grounding deletes each component's smallest node from L and from its
+        unit-weight copy L1: U^T L U = diag(lam), U^T L1 U = I.  lam has the
+        inertia of R W R^T (congruent), equals its eigenvalues, the weights,
+        on a tree, and lies in [w_min, w_max] on any positive graph.  U is
+        zero at the deleted nodes: d^T L^+ d = sum((U^T d)^2 / lam) for
+        d = e_u - e_v within one component.
+        """
+        _, labels = connected_components(self)
+        keep = np.ones(self.node_count, dtype=bool)
+        keep[np.unique(labels, return_index=True)[1]] = False
+        grounded = np.ix_(keep, keep)
+        unit = laplacian(_with_weights(self, np.ones(self.edge_count)))[grounded]
+        C_inv = np.linalg.inv(np.linalg.cholesky(unit))
+        lam, V = np.linalg.eigh(C_inv @ laplacian(self)[grounded] @ C_inv.T)
+        U = np.zeros((self.node_count, lam.size))
+        U[keep] = C_inv.T @ V
+        return lam, U
+
 
 @dataclass(frozen=True)
 class ForestDecomposition:
@@ -165,16 +187,19 @@ def incidence_matrix(g: WeightedGraph) -> np.ndarray:
     Columns follow edge-index order; column sums vanish, so 1^T E = 0.
     """
     E = np.zeros((g.node_count, g.edge_count))
-    for k, (tail, head, _) in enumerate(g.edges):
-        E[tail, k] = 1.0
-        E[head, k] = -1.0
+    cols = np.arange(g.edge_count)
+    E[g.tails, cols] = 1.0
+    E[g.heads, cols] = -1.0
     return E
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted graph Laplacian L = E W E^T (symmetric, 1 in its null space)."""
-    E = incidence_matrix(g)
-    return (E * g.weights) @ E.T
+    """Weighted graph Laplacian L = E W E^T (symmetric, 1 in its null space), by scatter."""
+    n, t, h, w = g.node_count, g.tails, g.heads, g.weights
+    L = np.zeros((n, n))
+    L[t, h] = L[h, t] = -w
+    L[np.diag_indices(n)] = np.bincount(t, w, n) + np.bincount(h, w, n)
+    return L
 
 
 def edge_laplacian(g: WeightedGraph) -> np.ndarray:
@@ -323,6 +348,15 @@ def signed_partition(g: WeightedGraph) -> SignedPartition:
     pos = tuple(k for k, (_, _, w) in enumerate(g.edges) if w > 0)
     neg = tuple(k for k, (_, _, w) in enumerate(g.edges) if w < 0)
     return SignedPartition(pos, neg)
+
+
+def _with_weights(g: WeightedGraph, weights: Sequence[float]) -> WeightedGraph:
+    """The same edges with new weights, for Laplacian assembly only.
+
+    Unlike ``build_graph`` it keeps zero weights (the edge drops out of L).
+    """
+    edges = tuple((u, v, float(w)) for (u, v, _), w in zip(g.edges, weights))
+    return WeightedGraph(g.node_count, edges)
 
 
 def _edge_subgraph(g: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:

@@ -1,9 +1,12 @@
-"""Effective resistance through the cut-space (edge) form or the pseudoinverse.
+"""Effective resistance through the grounded-Laplacian kernel or the pseudoinverse.
 
-The edge form evaluates x^T (R W R^T)^{-1} x with x = L_e(F)^{-1} E_F^T d for
-a probe vector d, and is the default; the pseudoinverse form evaluates
-d^T L(G)^+ d and serves as an independent cross-check.  Both accept signed
-weights as long as the required inverse exists.
+The default reads the graph's cached eigendecomposition of the grounded
+Laplacian against its unit-weight copy (``WeightedGraph.grounded_eigh``),
+which is congruent to the cut-space matrix R W R^T, so it equals the paper's
+edge form x^T (R W R^T)^{-1} x without building the spanning forest
+(``graph.spanning_forest`` keeps that form as the reference).  The
+pseudoinverse form d^T L(G)^+ d is an independent cross-check.  Both accept
+signed weights as long as the required inverse exists.
 """
 
 from __future__ import annotations
@@ -23,33 +26,8 @@ __all__ = [
     "total_effective_resistance",
 ]
 
-# smallest/largest singular value ratio below which R W R^T is deemed singular
+# smallest/largest |eigenvalue| ratio of the kernel below which L is deemed singular
 _SINGULAR_RTOL = 1e-10
-
-
-def _checked_cut_gram(g: gr.WeightedGraph, f: gr.ForestDecomposition) -> np.ndarray:
-    A = gr.weighted_cut_matrix(g, f)
-    if A.size:
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= _SINGULAR_RTOL * sv[0]:
-            raise SingularMatrixError(
-                "cut-weight matrix R W R^T is numerically singular "
-                f"(sigma_min/sigma_max = {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.3e}); "
-                "the network sits on a degeneracy of its weights"
-            )
-    return A
-
-
-def _pair_probe_columns(g: gr.WeightedGraph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    B = np.zeros((g.node_count, len(pairs)))
-    for j, (u, v) in enumerate(pairs):
-        if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
-            raise GraphConstructionError(f"node pair ({u}, {v}) out of range")
-        if u == v:
-            raise GraphConstructionError(f"node pair ({u}, {v}): endpoints must differ")
-        B[u, j] += 1.0
-        B[v, j] -= 1.0
-    return B
 
 
 def node_pair_resistance_matrix(
@@ -57,35 +35,47 @@ def node_pair_resistance_matrix(
 ) -> np.ndarray:
     """Gram matrix of effective resistances over arbitrary node pairs.
 
-    Entry (i, j) is (e_{u_i}-e_{v_i})^T L^+ (e_{u_j}-e_{v_j}), evaluated in
-    the edge form.  Every pair must lie inside one component; the pairs need
-    not be edges of the graph.
+    Entry (i, j) is (e_{u_i}-e_{v_i})^T L^+ (e_{u_j}-e_{v_j}), evaluated
+    through the grounded-Laplacian kernel.  Every pair must lie inside one
+    component; the pairs need not be edges of the graph.  Raises
+    SingularMatrixError when the kernel's |eigenvalue| ratio is at most
+    1e-10; on a tree those eigenvalues are R W R^T's, the weights.
     """
     _, labels = gr.connected_components(g)
     for u, v in pairs:
         if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
             raise GraphConstructionError(f"node pair ({u}, {v}) out of range")
-        if u != v and labels[u] != labels[v]:
+        if u == v:
+            raise GraphConstructionError(f"node pair ({u}, {v}): endpoints must differ")
+        if labels[u] != labels[v]:
             raise DisconnectedGraphError(
                 f"nodes {u} and {v} lie in different components: infinite resistance"
             )
-    f = gr.spanning_forest(g)
-    B = _pair_probe_columns(g, pairs)
-    X = gr.forest_left_inverse(g, f) @ B
-    A = _checked_cut_gram(g, f)
-    if X.shape[0] == 0:
-        return np.zeros((len(pairs), len(pairs)))
-    M = X.T @ np.linalg.solve(A, X)
+    lam, U = g.grounded_eigh
+    size = np.abs(lam)
+    if lam.size and size.min() <= _SINGULAR_RTOL * size.max():
+        ratio = 0.0 if size.max() == 0 else size.min() / size.max()
+        raise SingularMatrixError(
+            "grounded Laplacian (congruent to R W R^T) is numerically singular "
+            f"(|lambda|_min/|lambda|_max = {ratio:.3e}); "
+            "the network sits on a degeneracy of its weights"
+        )
+    ends = np.array(pairs, dtype=int).reshape(-1, 2)
+    Z = (U[ends[:, 0]] - U[ends[:, 1]]).T
+    M = Z.T @ (Z / lam[:, None])
     return 0.5 * (M + M.T)
 
 
 def effective_resistance(g: gr.WeightedGraph, u: int, v: int, method: str = "edge_form") -> float:
     """Effective resistance between nodes u and v.
 
-    ``method`` is ``"edge_form"`` (default) or ``"pseudoinverse"``; the two
-    agree to rounding whenever both are defined.  Raises
-    DisconnectedGraphError when u and v are in different components and
-    SingularMatrixError when R W R^T cannot be inverted.
+    ``method`` is ``"edge_form"`` (default) or ``"pseudoinverse"``.  The
+    edge form reads the graph's cached grounded-Laplacian kernel, which is
+    congruent to the cut-space matrix R W R^T; the pseudoinverse form builds
+    L^+ directly and is the independent cross-check.  The two agree to
+    rounding whenever both are defined.  Raises DisconnectedGraphError when
+    u and v are in different components and SingularMatrixError when the
+    kernel, equivalently R W R^T, is numerically singular.
     """
     if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
         raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")

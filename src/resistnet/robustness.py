@@ -13,6 +13,10 @@ margin is 1/sigma_max(M11(0)); for a single uncertain edge the margin
 supports the per-edge margins are exact as well.  Sector-bounded nonlinear
 couplings are certified by a gain condition plus a quadratic condition on
 the sector widths.
+
+Margins read the cached grounded kernel L_g^{-1} = U Lambda^{-1} U^T:
+M11(0) = Y^T Y, Y = Lambda^{-1/2} U^T B_delta over E_delta's incidence
+columns.  ``m11_frequency_response`` keeps the forest form above.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import graph as gr
-from . import resistance as rs
 from . import spectral as sp
 from . import stability as st
 from .errors import GraphConstructionError, NominalInstabilityError, NotApplicableError
@@ -35,7 +38,6 @@ __all__ = [
     "SandwichBounds",
     "MarginReport",
     "SectorCheckResult",
-    "selection_matrix",
     "m11_at_zero",
     "m11_frequency_response",
     "small_gain_margin",
@@ -181,17 +183,23 @@ def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
         )
 
 
-def selection_matrix(spec: UncertaintySpec, edge_count: int) -> np.ndarray:
-    """m x d selector P with P[k, j] = 1 for the j-th uncertain edge k."""
-    if spec.uncertain_edges[-1] >= edge_count:
-        raise GraphConstructionError(
-            f"uncertain edge index {spec.uncertain_edges[-1]} out of range "
-            f"for {edge_count} edges"
-        )
-    P = np.zeros((edge_count, len(spec.uncertain_edges)))
-    for j, k in enumerate(spec.uncertain_edges):
-        P[k, j] = 1.0
-    return P
+def _channel(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> np.ndarray:
+    """Y = Lambda^{-1/2} U^T B_delta from the grounded kernel, so M11(0) = Y^T Y."""
+    _require_nominal_stability(g, tol)
+    _validate_edges(g, spec.uncertain_edges)
+    lam, U = g.grounded_eigh
+    k = list(spec.uncertain_edges)
+    return (U[g.tails[k]] - U[g.heads[k]]).T / np.sqrt(lam)[:, None]
+
+
+def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
+    """Per-edge resistances (Y's squared column norms) and sigma_bar(M11(0)).
+
+    sigma_bar is the top eigenvalue of the smaller of Y Y^T and Y^T Y.
+    """
+    Y = _channel(g, spec, tol)
+    gram = Y.T @ Y if Y.shape[1] <= Y.shape[0] else Y @ Y.T
+    return np.einsum("ij,ij->j", Y, Y), float(np.linalg.eigvalsh(gram)[-1])
 
 
 def m11_at_zero(
@@ -201,14 +209,10 @@ def m11_at_zero(
 
     Equals the effective-resistance Gram matrix over the uncertain edges;
     symmetric and positive semidefinite for nominally stable networks.
+    Evaluated as Y^T Y from the graph's grounded-Laplacian kernel.
     """
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec.uncertain_edges)
-    f = gr.spanning_forest(g)
-    RP = f.cut_matrix[:, list(spec.uncertain_edges)]
-    A = gr.weighted_cut_matrix(g, f)
-    M = RP.T @ np.linalg.solve(A, RP)
-    return 0.5 * (M + M.T)
+    Y = _channel(g, spec, tol)
+    return Y.T @ Y
 
 
 def m11_frequency_response(
@@ -231,14 +235,12 @@ def m11_frequency_response(
     return RP.T @ np.linalg.solve(lhs, Le @ RP)
 
 
-def _sandwich(g: gr.WeightedGraph, spec: UncertaintySpec, M0: np.ndarray) -> SandwichBounds:
-    edges = list(spec.uncertain_edges)
-    r_diag = np.diag(M0)
+def _bounds(g: gr.WeightedGraph, spec: UncertaintySpec, r: np.ndarray, sigma: float) -> SandwichBounds:
     return SandwichBounds(
-        inv_max_weight=1.0 / float(np.max(g.weights[edges])),
-        max_edge_resistance=float(np.max(r_diag)),
-        sigma_bar_m11=sp.spectral_norm(M0),
-        r_total=float(np.trace(M0)),
+        inv_max_weight=1.0 / float(np.max(g.weights[list(spec.uncertain_edges)])),
+        max_edge_resistance=float(np.max(r)),
+        sigma_bar_m11=sigma,
+        r_total=float(np.sum(r)),
     )
 
 
@@ -246,13 +248,29 @@ def sandwich_bounds(
     g: gr.WeightedGraph, spec: UncertaintySpec, tol: float = sp.DEFAULT_TOL
 ) -> SandwichBounds:
     """Cheap bounds around sigma_bar(M11(0)); see SandwichBounds."""
-    return _sandwich(g, spec, m11_at_zero(g, spec, tol))
+    return _bounds(g, spec, *_gains(g, spec, tol))
 
 
 def _binding(per_edge: dict[int, float]) -> int:
     best = min(per_edge.values())
     window = best * (1.0 + _TIE_RTOL)
     return min(k for k, v in per_edge.items() if v <= window)
+
+
+def _report(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float, method: str,
+            small_gain: bool) -> MarginReport:
+    """Margin report over E_delta; the global margin is 1/sigma_bar when
+    ``small_gain`` and the binding edge's exact margin 1/R_e otherwise."""
+    r, sigma = _gains(g, spec, tol)
+    per_edge = {k: 1.0 / float(x) for k, x in zip(spec.uncertain_edges, r)}
+    binding = _binding(per_edge)
+    return MarginReport(
+        global_margin=1.0 / sigma if small_gain else per_edge[binding],
+        method=method,
+        per_edge=per_edge,
+        binding_edge=binding,
+        bounds=_bounds(g, spec, r, sigma),
+    )
 
 
 def small_gain_margin(
@@ -267,9 +285,6 @@ def small_gain_margin(
     E_delta covers all edges of a uniform-weight network (margin equals the
     common weight exactly).
     """
-    M0 = m11_at_zero(g, spec, tol)
-    sigma = sp.spectral_norm(M0)
-    per_edge = {k: 1.0 / float(r) for k, r in zip(spec.uncertain_edges, np.diag(M0))}
     method = "small_gain"
     if len(spec.uncertain_edges) == 1:
         method = "exact_single_edge"
@@ -277,13 +292,7 @@ def small_gain_margin(
         w = g.weights
         if np.all(w > 0) and float(np.max(w) - np.min(w)) <= 1e-12 * float(np.max(np.abs(w))):
             method = "uniform_weight"
-    return MarginReport(
-        global_margin=1.0 / sigma,
-        method=method,
-        per_edge=per_edge,
-        binding_edge=_binding(per_edge),
-        bounds=_sandwich(g, spec, M0),
-    )
+    return _report(g, spec, tol, method, small_gain=True)
 
 
 def single_edge_margin(
@@ -295,16 +304,7 @@ def single_edge_margin(
     anything beyond indefinite; for a bridge the margin equals the edge
     weight itself.
     """
-    spec = UncertaintySpec((int(e),))
-    M0 = m11_at_zero(g, spec, tol)
-    margin = 1.0 / float(M0[0, 0])
-    return MarginReport(
-        global_margin=margin,
-        method="exact_single_edge",
-        per_edge={int(e): margin},
-        binding_edge=int(e),
-        bounds=_sandwich(g, spec, M0),
-    )
+    return _report(g, UncertaintySpec((int(e),)), tol, "exact_single_edge", False)
 
 
 def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> MarginReport:
@@ -314,17 +314,7 @@ def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Margi
     index); the report's global margin is exact for perturbations confined
     to that edge and safe for any single-edge perturbation.
     """
-    spec = UncertaintySpec(tuple(range(g.edge_count)))
-    M0 = m11_at_zero(g, spec, tol)
-    per_edge = {k: 1.0 / float(r) for k, r in zip(spec.uncertain_edges, np.diag(M0))}
-    binding = _binding(per_edge)
-    return MarginReport(
-        global_margin=per_edge[binding],
-        method="exact_single_edge",
-        per_edge=per_edge,
-        binding_edge=binding,
-        bounds=_sandwich(g, spec, M0),
-    )
+    return _report(g, UncertaintySpec(tuple(range(g.edge_count))), tol, "exact_single_edge", False)
 
 
 def disjoint_paths_margin(
@@ -355,16 +345,7 @@ def disjoint_paths_margin(
                     f"path supports of uncertain edges {a} and {b} overlap; "
                     "the disjoint-paths margin does not apply (use small_gain_margin)"
                 )
-    M0 = m11_at_zero(g, spec, tol)
-    per_edge = {k: 1.0 / float(r) for k, r in zip(spec.uncertain_edges, np.diag(M0))}
-    binding = _binding(per_edge)
-    return MarginReport(
-        global_margin=per_edge[binding],
-        method="exact_single_edge" if len(keys) == 1 else "disjoint_paths",
-        per_edge=per_edge,
-        binding_edge=binding,
-        bounds=_sandwich(g, spec, M0),
-    )
+    return _report(g, spec, tol, "exact_single_edge" if len(keys) == 1 else "disjoint_paths", False)
 
 
 def sector_stability_check(
@@ -385,22 +366,19 @@ def sector_stability_check(
             f"need one sector per uncertain edge: got {len(sectors.sectors)} sectors "
             f"for {len(spec.uncertain_edges)} edges"
         )
-    M0 = m11_at_zero(g, spec, tol)
-    sigma = sp.spectral_norm(M0)
+    _, sigma = _gains(g, spec, tol)
     max_abs_alpha = float(np.max(np.abs(sectors.alphas)))
     gain_ok = max_abs_alpha < 1.0 / sigma
 
-    P = selection_matrix(spec, g.edge_count)
-    K = np.diag(sectors.betas - sectors.alphas)
-    W2 = 2.0 * np.diag(g.weights)
-    statement = W2 + P @ (K @ K - 2.0 * K - np.eye(K.shape[0])) @ P.T
-    proof = W2 + P @ (-K @ K + 2.0 * K - np.eye(K.shape[0])) @ P.T
-    ev_statement = np.linalg.eigvalsh(statement)
-    ev_proof = np.linalg.eigvalsh(proof)
-    cut = tol * max(1.0, float(np.max(np.abs(ev_statement))))
-    quad_ok = bool(ev_statement[0] > cut)
-    proof_cut = tol * max(1.0, float(np.max(np.abs(ev_proof))))
-    proof_ok = bool(ev_proof[0] > proof_cut)
+    # 2W + P(...)P^T is diagonal: 2 w_e off E_delta, shifted by a function
+    # of the sector width k on it, so its eigenvalues are its diagonal
+    k = sectors.betas - sectors.alphas
+    edges = list(spec.uncertain_edges)
+    ev_statement, ev_proof = 2.0 * g.weights, 2.0 * g.weights
+    ev_statement[edges] += k * k - 2.0 * k - 1.0
+    ev_proof[edges] += -k * k + 2.0 * k - 1.0
+    quad_ok = bool(ev_statement.min() > sp._zero_cut(ev_statement, tol))
+    proof_ok = bool(ev_proof.min() > sp._zero_cut(ev_proof, tol))
     return SectorCheckResult(
         stable=bool(gain_ok and quad_ok),
         gain_condition=bool(gain_ok),
@@ -408,8 +386,8 @@ def sector_stability_check(
         sigma_bar_m11=sigma,
         max_abs_alpha=max_abs_alpha,
         gain_margin=1.0 / sigma - max_abs_alpha,
-        quadratic_min_eig=float(ev_statement[0]),
-        proof_form_min_eig=float(ev_proof[0]),
+        quadratic_min_eig=float(ev_statement.min()),
+        proof_form_min_eig=float(ev_proof.min()),
         proof_form_disagrees=proof_ok != quad_ok,
     )
 

@@ -290,9 +290,7 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
     simply drops out of the dynamics).  Raises StepSizeError when
     dt >= 2/lambda_max(L).
     """
-    w = _perturbed_weights(g, delta)
-    E = gr.incidence_matrix(g)
-    L = (E * w) @ E.T
+    L = gr.laplacian(gr._with_weights(g, _perturbed_weights(g, delta)))
     lam_max = float(np.linalg.eigvalsh(L)[-1]) if g.node_count else 0.0
     _check_step(config.dt, lam_max)
     x0 = _resolve_initial_state(g, config)
@@ -340,9 +338,8 @@ def simulate_nonlinear(
             f"need one coupling per uncertain edge: got {len(coupling.params)} "
             f"couplings for {len(edges)} edges"
         )
-    E = gr.incidence_matrix(g)
-    L = (E * g.weights) @ E.T
-    Ed = E[:, edges]
+    L = gr.laplacian(g)
+    Ed = gr.incidence_matrix(g)[:, edges]
     lam_max = float(np.linalg.eigvalsh(L)[-1])
     _check_step(config.dt, lam_max + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)

@@ -57,11 +57,15 @@ def signature_of(A: np.ndarray, tol: float = DEFAULT_TOL) -> Signature:
     A = _as_symmetric(A)
     if A.size == 0:
         return Signature(0, 0, 0)
-    eigvals = np.linalg.eigvalsh(A)
+    return _eigval_signature(np.linalg.eigvalsh(A), tol)
+
+
+def _eigval_signature(eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> Signature:
+    """Inertia of a symmetric matrix given its eigenvalues."""
     cut = _zero_cut(eigvals, tol)
     n_plus = int(np.sum(eigvals > cut))
     n_minus = int(np.sum(eigvals < -cut))
-    return Signature(n_plus, n_minus, A.shape[0] - n_plus - n_minus)
+    return Signature(n_plus, n_minus, eigvals.size - n_plus - n_minus)
 
 
 def pseudoinverse(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

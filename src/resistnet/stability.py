@@ -2,11 +2,12 @@
 
 The Laplacian L = E W E^T of a connected network with n_zero = 1 and no
 negative eigenvalues drives the agreement dynamics xdot = -L x to consensus.
-Classification happens on the congruent cut-space matrix R W R^T (whose
-inertia equals L's up to the structural zeros, one per component), plus a set
-of certificates for networks with negative weights: a positive-semidefinite
-block test, a cut criterion, single- and multi-edge magnitude thresholds, and
-a total-resistance necessary condition.
+Classification reads the graph's cached grounded-Laplacian pencil (L with
+one node per component deleted, against its unit-weight copy; congruent to
+R W R^T), whose inertia equals L's up to the structural zeros, plus a set of
+certificates for networks with negative weights: a positive-semidefinite
+block test, a cut criterion, single- and multi-edge magnitude thresholds,
+and a total-resistance necessary condition.
 """
 
 from __future__ import annotations
@@ -57,15 +58,17 @@ class StabilityVerdict:
 
 
 def classify_stability(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> StabilityVerdict:
-    """Classify via the inertia of R W R^T plus the structural zeros.
+    """Classify via the inertia of the grounded Laplacian plus the structural zeros.
 
-    The cut-space matrix is used instead of L itself so the c structural
-    zero eigenvalues (one per component) never interact with the zero
-    threshold; they are appended exactly.
+    Grounding one node per component removes exactly the c structural zero
+    eigenvalues, so they never interact with the zero threshold; they are
+    appended exactly.  The zero threshold is applied to the eigenvalues of
+    the pencil against the unit-weight grounded Laplacian, which do not
+    shrink as the graph grows (on a tree they are the weights).
     """
-    f = gr.spanning_forest(g)
-    ess = sp.signature_of(gr.weighted_cut_matrix(g, f), tol)
-    sig = sp.Signature(ess.n_plus, ess.n_minus, ess.n_zero + f.component_count)
+    lam, _ = g.grounded_eigh
+    ess = sp._eigval_signature(lam, tol)
+    sig = sp.Signature(ess.n_plus, ess.n_minus, ess.n_zero + g.node_count - lam.size)
     if sig.n_minus > 0:
         cut_exists, cut_edges = gr.negative_cut_components(g)
         return StabilityVerdict(UNSTABLE, sig, cut_edges if cut_exists else None)
