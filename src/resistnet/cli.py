@@ -206,9 +206,6 @@ def _analysis_document(g: gr.WeightedGraph, tol: float) -> dict:
         except DisconnectedGraphError:
             diag["thresholds"] = None
             diag["thresholds_note"] = "positive subgraph is disconnected"
-        except GraphConstructionError as exc:
-            diag["thresholds"] = None
-            diag["thresholds_note"] = f"skipped: {exc}"
     else:
         diag["total_resistance_check"] = True
         diag["thresholds"] = {"applicable": True, "per_edge": []}
@@ -328,7 +325,7 @@ def cmd_margin(args) -> int:
     else:
         try:
             report = rb.disjoint_paths_margin(g, rb.UncertaintySpec(edges), args.tol)
-        except (NotApplicableError, GraphConstructionError) as exc:
+        except NotApplicableError as exc:
             warning = f"{exc}; falling back to the small-gain margin"
             report = rb.small_gain_margin(g, rb.UncertaintySpec(edges), args.tol)
 
@@ -494,13 +491,6 @@ def cmd_simulate(args) -> int:
 # -------------------------------------------------------------- repro-sec6
 
 
-def _positive_floor(eigvals: np.ndarray) -> float:
-    """Smallest eigenvalue above the structural-zero cut."""
-    cut = 1e-8 * max(1.0, float(np.max(np.abs(eigvals))))
-    above = eigvals[eigvals > cut]
-    return float(above[0]) if above.size else 0.0
-
-
 def cmd_repro_sec6(args) -> int:
     if args.n < 2:
         raise InputError("repro-sec6 needs at least 2 nodes")
@@ -522,7 +512,7 @@ def cmd_repro_sec6(args) -> int:
     binding_matches_scan = scan_edge == k_bind
 
     eigvals = np.linalg.eigvalsh(L)
-    lam2 = _positive_floor(eigvals)
+    lam2 = float(eigvals[1])  # the graph is connected
     lam_max = float(eigvals[-1])
     dt = _auto_dt(lam_max)
     x0_seed = args.seed + 1
@@ -538,13 +528,15 @@ def cmd_repro_sec6(args) -> int:
         return traj
 
     # nominal, boundary, beyond-margin linear runs
-    t_nominal = max(20.0, 40.0 / lam2) if lam2 > 0 else 20.0
+    t_nominal = max(20.0, 40.0 / lam2)
     traj_nominal = run_linear("nominal.csv", None, t_nominal)
 
     w_pert = g.weights.copy()
     w_pert[k_bind] -= margin
-    lam2_boundary = _positive_floor(np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert))))
-    t_boundary = max(20.0, 40.0 / lam2_boundary) if lam2_boundary > 0 else 60.0
+    # the exact margin is a rank-one update: by interlacing exactly one more
+    # eigenvalue reaches zero (both of them on a 2-node graph)
+    ev_boundary = np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert)))
+    t_boundary = max(20.0, 40.0 / float(ev_boundary[2])) if g.node_count > 2 else 60.0
     traj_boundary = run_linear("boundary.csv", {k_bind: -margin}, t_boundary)
     clusters = sim.detect_clusters(traj_boundary.states[-1])
 

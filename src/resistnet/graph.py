@@ -80,6 +80,29 @@ class WeightedGraph:
         return np.array([e[2] for e in self.edges], dtype=float)
 
     @cached_property
+    def _bfs(self) -> tuple[int, list[int], list[bool]]:
+        """Component count, node labels and forest-edge flags of the BFS that
+        ``connected_components`` and ``spanning_forest`` share."""
+        adj = _adjacency(self)
+        labels = [-1] * self.node_count
+        in_forest = [False] * self.edge_count
+        count = 0
+        for root in range(self.node_count):
+            if labels[root] >= 0:
+                continue
+            labels[root] = count
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                for nbr, k in adj[node]:
+                    if labels[nbr] < 0:
+                        labels[nbr] = count
+                        in_forest[k] = True
+                        queue.append(nbr)
+            count += 1
+        return count, labels, in_forest
+
+    @cached_property
     def grounded_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs ``(lam, U)`` of the grounded Laplacian pencil, shared by every analysis.
 
@@ -232,22 +255,8 @@ def connected_components(g: WeightedGraph) -> tuple[int, np.ndarray]:
     Labels are assigned in order of each component's smallest node, so the
     labeling is deterministic.
     """
-    adj = _adjacency(g)
-    labels = np.full(g.node_count, -1, dtype=int)
-    count = 0
-    for root in range(g.node_count):
-        if labels[root] >= 0:
-            continue
-        labels[root] = count
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nbr, _ in adj[node]:
-                if labels[nbr] < 0:
-                    labels[nbr] = count
-                    queue.append(nbr)
-        count += 1
-    return count, labels
+    count, labels, _ = g._bfs
+    return count, np.array(labels, dtype=int)
 
 
 def component_indicators(g: WeightedGraph, normalized: bool = False) -> np.ndarray:
@@ -269,23 +278,7 @@ def spanning_forest(g: WeightedGraph) -> ForestDecomposition:
     is the unweighted edge Laplacian of the forest, and R carries the identity
     on forest columns and T on cycle columns (in original edge positions).
     """
-    adj = _adjacency(g)
-    visited = [False] * g.node_count
-    in_forest = [False] * g.edge_count
-    component_count = 0
-    for root in range(g.node_count):
-        if visited[root]:
-            continue
-        component_count += 1
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nbr, k in adj[node]:
-                if not visited[nbr]:
-                    visited[nbr] = True
-                    in_forest[k] = True
-                    queue.append(nbr)
+    component_count, _, in_forest = g._bfs
     forest = tuple(k for k in range(g.edge_count) if in_forest[k])
     cycle = tuple(k for k in range(g.edge_count) if not in_forest[k])
 
@@ -392,42 +385,66 @@ def negative_cut_components(g: WeightedGraph) -> tuple[bool, tuple[int, ...]]:
     return True, cut
 
 
-def path_edge_set(g: WeightedGraph, u: int, v: int, max_edges: int = 20) -> set[int]:
+def _edge_blocks(g: WeightedGraph) -> list[int]:
+    """Biconnected-block label per edge (Hopcroft & Tarjan 1973), O(n + m).
+
+    Two edges share a label iff some simple cycle passes through both; a
+    block is labeled by its first tree edge.  The depth-first search keeps
+    its own stack, because a path graph is as deep as it has nodes.
+    Parallel edges are told apart by index.
+    """
+    adj = _adjacency(g)
+    disc = [-1] * g.node_count
+    low = [0] * g.node_count
+    block = [-1] * g.edge_count
+    pending: list[int] = []  # tree and back edges not yet in a block
+    clock = 0
+    for root in range(g.node_count):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]), 0)]
+        while stack:
+            node, via, nbrs, mark = stack[-1]
+            for nbr, k in nbrs:
+                if disc[nbr] < 0:
+                    stack.append((nbr, k, iter(adj[nbr]), len(pending)))
+                    pending.append(k)
+                    disc[nbr] = low[nbr] = clock
+                    clock += 1
+                    break
+                if k != via and disc[nbr] < disc[node]:  # back edge to an ancestor
+                    pending.append(k)
+                    low[node] = min(low[node], disc[nbr])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] >= disc[parent]:  # parent cuts node's subtree off
+                        for k in pending[mark:]:
+                            block[k] = via
+                        del pending[mark:]
+    return block
+
+
+def path_edge_set(g: WeightedGraph, u: int, v: int) -> set[int]:
     """Indices of all edges lying on at least one simple u-v path.
 
-    Exhaustive simple-path enumeration; the graph must have at most
-    ``max_edges`` edges (path unions on larger graphs need a cut/flow
-    formulation this package does not implement).  Returns an empty set
-    when u and v sit in different components.
+    These are the edges sharing a biconnected block with a virtual u-v edge
+    added to the graph: a simple u-v path plus that edge is a cycle, and any
+    two edges of a block lie on a common cycle.  For an edge (u, v) of the
+    graph this is its own block.  Linear time at any size; empty when u and
+    v sit in different components, where the virtual edge is a bridge.
     """
     if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
         raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
     if u == v:
         raise GraphConstructionError("path_edge_set endpoints must differ")
-    if g.edge_count > max_edges:
-        raise GraphConstructionError(
-            f"path_edge_set supports at most max_edges={max_edges} edges, "
-            f"graph has {g.edge_count}"
-        )
-    adj = _adjacency(g)
-    result: set[int] = set()
-    on_path: list[int] = []
-    visited = [False] * g.node_count
-
-    def explore(node: int) -> None:
-        if node == v:
-            result.update(on_path)
-            return
-        visited[node] = True
-        for nbr, k in adj[node]:
-            if not visited[nbr]:
-                on_path.append(k)
-                explore(nbr)
-                on_path.pop()
-        visited[node] = False
-
-    explore(u)
-    return result
+    # built directly: build_graph rejects the pair when (u, v) is an edge
+    block = _edge_blocks(WeightedGraph(g.node_count, g.edges + ((min(u, v), max(u, v), 1.0),)))
+    return {k for k in range(g.edge_count) if block[k] == block[-1]}
 
 
 def is_balanced(g: WeightedGraph) -> bool:

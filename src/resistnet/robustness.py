@@ -318,29 +318,25 @@ def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Margi
 
 
 def disjoint_paths_margin(
-    g: gr.WeightedGraph,
-    spec: UncertaintySpec,
-    tol: float = sp.DEFAULT_TOL,
-    max_path_edges: int = 20,
+    g: gr.WeightedGraph, spec: UncertaintySpec, tol: float = sp.DEFAULT_TOL
 ) -> MarginReport:
     """Exact per-edge margins when uncertain edges have disjoint path supports.
 
     Each uncertain edge (u, v) gets margin 1/R_uv(G); the margins hold
     simultaneously when the sets of edges on simple u-v paths are pairwise
-    disjoint.  Raises NotApplicableError on overlap (fall back to
-    ``small_gain_margin``).  A singleton set reduces to the single-edge
+    disjoint, that is, when the uncertain edges lie in distinct biconnected
+    blocks (an edge's path support is its own block), at any size.  Raises
+    NotApplicableError naming the first pair that shares a block (fall back
+    to ``small_gain_margin``).  A singleton set reduces to the single-edge
     margin.
     """
     _require_nominal_stability(g, tol)
     _validate_edges(g, spec.uncertain_edges)
-    supports = {
-        k: gr.path_edge_set(g, g.edges[k][0], g.edges[k][1], max_edges=max_path_edges)
-        for k in spec.uncertain_edges
-    }
-    keys = list(supports)
+    block = gr._edge_blocks(g)
+    keys = spec.uncertain_edges
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            if supports[a] & supports[b]:
+            if block[a] == block[b]:
                 raise NotApplicableError(
                     f"path supports of uncertain edges {a} and {b} overlap; "
                     "the disjoint-paths margin does not apply (use small_gain_margin)"

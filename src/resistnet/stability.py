@@ -152,15 +152,13 @@ class MultiEdgeThresholds:
     overlap: tuple[int, int] | None = None
 
 
-def multi_negative_edge_thresholds(
-    g: gr.WeightedGraph, max_path_edges: int = 20
-) -> MultiEdgeThresholds:
+def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
     """Independent magnitude thresholds for several negative edges.
 
-    Requires the positive subgraph to be connected.  Path supports are
-    computed by exhaustive simple-path enumeration in the positive subgraph
-    (subject to ``max_path_edges``); thresholds are only valid when those
-    supports are pairwise disjoint.
+    Requires the positive subgraph to be connected.  Each negative edge's
+    path support is read from the biconnected blocks of the positive
+    subgraph plus that edge, at any size; thresholds are only valid when
+    those supports are pairwise disjoint.
     """
     part = gr.signed_partition(g)
     if not part.negative_edges:
@@ -171,11 +169,8 @@ def multi_negative_edge_thresholds(
         raise DisconnectedGraphError(
             "multi_negative_edge_thresholds requires a connected positive subgraph"
         )
-    supports: dict[int, set[int]] = {}
-    for k in part.negative_edges:
-        u, v, _ = g.edges[k]
-        supports[k] = gr.path_edge_set(plus, u, v, max_edges=max_path_edges)
-    keys = list(supports)
+    keys = part.negative_edges
+    supports = {k: gr.path_edge_set(plus, g.edges[k][0], g.edges[k][1]) for k in keys}
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
             if supports[a] & supports[b]:

@@ -69,6 +69,16 @@ def random_cactus(rng, n_cap=10, w_lo=0.2, w_hi=3.0):
     return build_graph(n, edges), blocks
 
 
+def triangle_chain(count):
+    """Unit triangles (2i, 2i+1, 2i+2) joined at cut nodes: 3*count edges,
+    one block per triangle."""
+    edges = []
+    for i in range(count):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        edges += [(a, b, 1.0), (a, c, 1.0), (b, c, 1.0)]
+    return build_graph(2 * count + 1, edges)
+
+
 def random_cut_signed(rng, magnitude, n_max=8):
     """Two positive connected blobs joined only by negative edges.
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import triangle_chain
 from resistnet import build_graph, save_graph
 from resistnet.cli import main
 
@@ -23,6 +24,13 @@ def write_graph(tmp_path, name, n, edges):
     path = tmp_path / name
     save_graph(build_graph(n, edges), path)
     return str(path)
+
+
+def triangle_chain_file(tmp_path, negative=()):
+    """Chain of 8 unit triangles (24 edges); edges in ``negative`` weigh -0.3."""
+    edges = [(u, v, -0.3 if k in negative else w)
+             for k, (u, v, w) in enumerate(triangle_chain(8).edges)]
+    return write_graph(tmp_path, "chain.json", 17, edges)
 
 
 # ----------------------------------------------------------------- analyze
@@ -86,6 +94,14 @@ def test_analyze_thresholds_reported(capsys, tmp_path):
     assert doc["negative_edge_diagnostics"]["total_resistance_check"] is False
 
 
+def test_analyze_thresholds_beyond_twenty_edges(capsys, tmp_path):
+    path = triangle_chain_file(tmp_path, negative=(0, 23))
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert "negative-edge thresholds (|w| must stay below):\n  edge 0: 0.5\n  edge 23: 0.5\n" in out
+    assert "skipped" not in out
+
+
 # ------------------------------------------------------------------ margin
 
 
@@ -124,6 +140,18 @@ def test_margin_overlap_falls_back_with_warning(capsys, triangle_file):
     assert code == 0
     assert "warning" in err
     assert "small_gain" in out
+
+
+def test_margin_disjoint_blocks_beyond_twenty_edges(capsys, tmp_path):
+    path = triangle_chain_file(tmp_path)
+    code, out, err = run(capsys, "margin", path, "--edges", "set:0,23")
+    assert code == 0
+    assert err == ""  # no fallback warning, which text mode prints to stderr
+    assert "margin method: disjoint_paths\nglobal margin: 1.5\n" in out
+    code, out, _ = run(capsys, "margin", path, "--edges", "set:0,23", "--json")
+    doc = json.loads(out)
+    assert (doc["margin"]["method"], doc["margin"]["global_margin"]) == ("disjoint_paths", 1.5)
+    assert doc["warning"] is None
 
 
 def test_margin_unstable_graph_exits_2(capsys, tmp_path):
@@ -248,6 +276,17 @@ def test_repro_small_instance_deterministic(capsys, tmp_path):
     assert report["runs"]["beyond"]["diverged"]
     assert report["runs"]["nonlinear_unstable"]["diverged"]
     assert not report["runs"]["nominal"]["diverged"]
+
+
+@pytest.mark.slow
+def test_repro_two_nodes(capsys, tmp_path):
+    # the boundary Laplacian of a 2-node graph is zero: no third eigenvalue
+    code = main(["repro-sec6", "--n", "2", "--radius", "2", "--out", str(tmp_path / "r")])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["runs"]["boundary"]["duration"] == 60.0
+    assert "7/7 hold" in out
 
 
 def test_repro_rejects_tiny_n(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import networkx as nx
 
-from conftest import random_connected_positive, random_signed
+from conftest import random_cactus, random_connected_positive, random_signed, triangle_chain
 from resistnet import (
     GraphConstructionError,
     GraphFormatError,
@@ -15,6 +15,7 @@ from resistnet import (
     essential_edge_laplacian,
     edge_laplacian,
     forest_left_inverse,
+    generate_rgg,
     graph_from_dict,
     graph_to_dict,
     incidence_matrix,
@@ -268,12 +269,45 @@ def test_path_edge_set_disconnected_and_errors():
         path_edge_set(g, 0, 4)
 
 
-def test_path_edge_set_cap():
+def test_path_edge_set_complete_graph():
+    # K12 (66 edges) is one block: every edge lies on a simple 0-1 path
     n = 12
     edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)]
     g = build_graph(n, edges)
-    with pytest.raises(GraphConstructionError, match="max_edges"):
-        path_edge_set(g, 0, 1, max_edges=10)
+    assert path_edge_set(g, 0, 1) == set(range(66))
+
+
+def test_path_edge_set_matches_networkx_blocks():
+    # beyond 20 edges: the support of an edge is its own block, and that of
+    # a non-adjacent pair is the block of a virtual edge joining them
+    rng = np.random.default_rng(37)
+    graphs = [generate_rgg(n, 1.9 * np.sqrt(np.log(n) / (np.pi * n)), seed=9) for n in (60, 100)]
+    graphs.append(triangle_chain(8))
+    graphs += [random_cactus(rng, n_cap=30)[0] for _ in range(5)]
+    graphs.append(build_graph(9, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0),
+                                  (5, 6, 1.0), (6, 7, 1.0), (5, 7, 1.0)]))
+
+    def block_of(H, index, u, v):
+        # edge indices of g in the block of H that holds the pair (u, v)
+        key = (min(u, v), max(u, v))
+        for comp in nx.biconnected_component_edges(H):
+            comp = {(min(a, b), max(a, b)) for a, b in comp}
+            if key in comp:
+                return {index[e] for e in comp if e in index}
+        raise AssertionError(f"pair {key} is in no block")
+
+    for g in graphs:
+        G = to_networkx(g)
+        index = {(u, v): k for k, (u, v, _) in enumerate(g.edges)}
+        for u, v, _ in g.edges:
+            assert path_edge_set(g, u, v) == block_of(G, index, u, v)
+        for _ in range(20):
+            u, v = (int(x) for x in rng.choice(g.node_count, 2, replace=False))
+            if G.has_edge(u, v):
+                continue
+            H = G.copy()
+            H.add_edge(u, v)
+            assert path_edge_set(g, u, v) == block_of(H, index, u, v)
 
 
 # -------------------------------------------------------------- balance

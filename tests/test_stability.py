@@ -1,7 +1,8 @@
+import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import random_connected_positive, random_cut_signed, random_signed
+from conftest import random_cactus, random_connected_positive, random_cut_signed, random_signed
 from resistnet import (
     DisconnectedGraphError,
     GraphConstructionError,
@@ -10,12 +11,15 @@ from resistnet import (
     UNSTABLE,
     build_graph,
     classify_stability,
+    connected_components,
     effective_resistance,
     laplacian,
     lmi_psd_check,
     multi_negative_edge_thresholds,
     negative_cut_verdict,
+    positive_subgraph,
     signature_of,
+    signed_partition,
     single_negative_edge_threshold,
     total_resistance_necessary_check,
 )
@@ -169,6 +173,50 @@ def test_multi_edge_thresholds_overlap_detected():
     assert not res.applicable
     assert res.thresholds is None
     assert res.overlap == (1, 4)
+
+
+def test_multi_edge_thresholds_match_simple_path_enumeration():
+    # three or more negative edges: supports are read per edge from the
+    # positive subgraph, never from the blocks of g itself, where blocks
+    # merge through the negative edges and can name a pair that does not
+    # overlap; random cactus graphs with one negative edge per ring add
+    # applicable cases
+    def enumerated(g):
+        plus = nx.Graph()
+        plus.add_nodes_from(range(g.node_count))
+        plus.add_edges_from((u, v) for u, v, w in g.edges if w > 0)
+        neg = [k for k, (_, _, w) in enumerate(g.edges) if w < 0]
+        support = {}
+        for k in neg:
+            paths = nx.all_simple_paths(plus, g.edges[k][0], g.edges[k][1])
+            support[k] = {frozenset(e) for p in paths for e in zip(p[:-1], p[1:])}
+        return next(((a, b) for i, a in enumerate(neg) for b in neg[i + 1:]
+                     if support[a] & support[b]), None)
+
+    def usable(g):
+        plus = positive_subgraph(g)
+        return len(signed_partition(g).negative_edges) >= 3 and connected_components(plus)[0] == 1
+
+    rng = np.random.default_rng(97)
+    graphs = []
+    while len(graphs) < 300:
+        g = random_signed(rng, n_max=10)
+        if usable(g):
+            graphs.append(g)
+    while len(graphs) < 360:
+        g, blocks = random_cactus(rng, n_cap=24)
+        flip = {int(rng.choice(b)) for b in blocks if len(b) > 2 and rng.random() < 0.8}
+        g = build_graph(g.node_count, [(u, v, -w if k in flip else w)
+                                       for k, (u, v, w) in enumerate(g.edges)])
+        if usable(g):
+            graphs.append(g)
+    verdicts = set()
+    for g in graphs:
+        pair = enumerated(g)
+        res = multi_negative_edge_thresholds(g)
+        assert (res.applicable, res.overlap) == (pair is None, pair)
+        verdicts.add(res.applicable)
+    assert verdicts == {True, False}
 
 
 def test_multi_edge_thresholds_c4_diagonal():
