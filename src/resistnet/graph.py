@@ -103,6 +103,11 @@ class WeightedGraph:
         return count, labels, in_forest
 
     @cached_property
+    def _positive(self) -> WeightedGraph:
+        # built once, so its cached factorization and BFS are shared too
+        return _edge_subgraph(self, signed_partition(self).positive_edges)
+
+    @cached_property
     def grounded_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs ``(lam, U)`` of the grounded Laplacian pencil, shared by every analysis.
 
@@ -357,8 +362,8 @@ def _edge_subgraph(g: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
 
 
 def positive_subgraph(g: WeightedGraph) -> WeightedGraph:
-    """Subgraph on the full node set keeping only positive-weight edges."""
-    return _edge_subgraph(g, signed_partition(g).positive_edges)
+    """Subgraph on the full node set keeping only positive-weight edges (cached per graph)."""
+    return g._positive
 
 
 def negative_subgraph(g: WeightedGraph) -> WeightedGraph:

@@ -1,15 +1,16 @@
 """Fixed-step simulation of linear and sector-nonlinear agreement dynamics.
 
-Linear runs integrate xdot = -L x + v(t) with classical RK4; when v is zero
-the exact RK4 step map Phi = I - hL + (hL)^2/2 - (hL)^3/6 + (hL)^4/24 is
-precomputed and applied iteratively (identical arithmetic order per step,
-so runs are reproducible).  Nonlinear runs add edgewise couplings
-phi(y) = a y + b sin(c y) on selected edges:
+Linear runs integrate xdot = -L x + v(t) with classical RK4.  When v is
+zero, k RK4 steps multiply each eigenmode of L by r^k, where r = p(-h lam)
+and p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 is the RK4 polynomial, so
+the stored states come in closed form from one eigendecomposition, whatever
+the step count.  Other runs step RK4 one step at a time.  Nonlinear runs add
+edgewise couplings phi(y) = a y + b sin(c y) on selected edges:
 
     xdot = -L x - E_delta phi(E_delta^T x) + v(t).
 
 A run is flagged divergent the first time ||x|| exceeds 1e9 (1 + ||x(0)||)
-and integration stops there.  All randomness (initial states, geometric
+and the trajectory ends there.  All randomness (initial states, geometric
 graphs) comes from an explicit 64-bit splitmix stream, so equal seeds give
 bit-equal results.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,10 +147,12 @@ class NonlinearCoupling:
     def slope_bound(self) -> float:
         return max(abs(a) + abs(b * c) for a, b, c in self.params)
 
+    @cached_property
+    def _abc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.array(col) for col in zip(*self.params))
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        a = np.array([p[0] for p in self.params])
-        b = np.array([p[1] for p in self.params])
-        c = np.array([p[2] for p in self.params])
+        a, b, c = self._abc
         return a * y + b * np.sin(c * y)
 
 
@@ -200,17 +204,15 @@ def _resolve_initial_state(g: gr.WeightedGraph, config: SimulationConfig) -> np.
     return np.array([rng.next_symmetric() for _ in range(g.node_count)])
 
 
-def _output_incidence(g: gr.WeightedGraph, config: SimulationConfig) -> np.ndarray:
+def _output_pairs(g: gr.WeightedGraph, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices (u, v) of the output pairs z = x_u - x_v."""
     pairs = config.output_edges
     if pairs is None:
-        pairs = tuple((tail, head) for tail, head, _ in g.edges)
-    Eo = np.zeros((g.node_count, len(pairs)))
-    for j, (u, v) in enumerate(pairs):
+        return g.tails, g.heads
+    for u, v in pairs:
         if not (0 <= u < g.node_count) or not (0 <= v < g.node_count) or u == v:
             raise InputError(f"output pair ({u}, {v}) is not a valid node pair")
-        Eo[u, j] = 1.0
-        Eo[v, j] = -1.0
-    return Eo
+    return np.array([u for u, _ in pairs], dtype=int), np.array([v for _, v in pairs], dtype=int)
 
 
 def _check_step(dt: float, rate: float) -> None:
@@ -242,44 +244,84 @@ def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
     return w + d
 
 
-def _run(
-    deriv: Callable[[float, np.ndarray], np.ndarray] | None,
-    step_map: np.ndarray | None,
-    x0: np.ndarray,
-    Eo: np.ndarray,
-    config: SimulationConfig,
-) -> Trajectory:
-    """Shared fixed-step loop: either apply step_map or do RK4 on deriv."""
+def _trajectory(keep, states, pairs, dt: float, diverged_at: float | None) -> Trajectory:
+    times = np.array(keep, dtype=float) * dt
+    outputs = states[:, pairs[0]] - states[:, pairs[1]]
+    return Trajectory(times, states, outputs, diverged_at is not None, diverged_at)
+
+
+def _limits(x0: np.ndarray, config: SimulationConfig) -> tuple[int, float]:
+    """Step count and divergence threshold of a run."""
+    steps = int(math.ceil(config.duration / config.dt - 1e-9))
+    return steps, DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
+
+
+def _run(deriv: Callable[[float, np.ndarray], np.ndarray], x0: np.ndarray, pairs,
+         config: SimulationConfig) -> Trajectory:
+    """Fixed-step RK4 loop on deriv; stops at the first step past the divergence threshold."""
     dt = config.dt
-    steps = int(math.ceil(config.duration / dt - 1e-9))
-    threshold = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
+    steps, threshold = _limits(x0, config)
     keep: list[int] = [0]
-    rows: list[np.ndarray] = [x0.copy()]
-    x = x0.copy()
-    diverged = False
+    rows: list[np.ndarray] = [x0]
+    x = x0
     diverged_at = None
     for k in range(1, steps + 1):
-        if step_map is not None:
-            x = step_map @ x
-        else:
-            t = (k - 1) * dt
-            k1 = deriv(t, x)
-            k2 = deriv(t + 0.5 * dt, x + 0.5 * dt * k1)
-            k3 = deriv(t + 0.5 * dt, x + 0.5 * dt * k2)
-            k4 = deriv(t + dt, x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        blown = not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > threshold
+        t = (k - 1) * dt
+        k1 = deriv(t, x)
+        k2 = deriv(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = deriv(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = deriv(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # a NaN or inf entry fails the comparison too
+        blown = not math.sqrt(x.dot(x)) <= threshold
         if blown or k == steps or k % config.store_every == 0:
             keep.append(k)
-            rows.append(x.copy())
+            rows.append(x)
         if blown:
-            diverged = True
             diverged_at = k * dt
             break
-    times = np.array(keep, dtype=float) * dt
-    states = np.vstack(rows)
-    outputs = states @ Eo
-    return Trajectory(times, states, outputs, diverged, diverged_at)
+    return _trajectory(keep, np.vstack(rows), pairs, dt, diverged_at)
+
+
+def _run_modal(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: SimulationConfig) -> Trajectory:
+    """Zero-input RK4 in L's eigenbasis (L = V diag(lam) V^T).
+
+    Step k is x_k = V (c * r^k) with c = V^T x0 and r = p(-h lam); each mode
+    is evaluated as sign(c) exp(log|c| + k log r), so no power overflows and
+    a mode with c = 0 stays exactly 0.  ||x_k||^2 = sum(c^2 r^(2k)) is convex
+    in k and below the threshold at k = 0, so the first step above it is
+    found by bisection, compared in log space.
+    """
+    dt = config.dt
+    steps, threshold = _limits(x0, config)
+    z = -dt * lam
+    log_r = np.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+    c = V.T @ x0
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(c))
+    live = c != 0.0
+    cut = 2.0 * math.log(threshold)
+
+    def above(k: int) -> bool:
+        e = 2.0 * (log_c[live] + k * log_r[live])
+        top = float(e.max())
+        return top + math.log(float(np.exp(e - top).sum())) > cut
+
+    end, diverged_at = steps, None
+    if steps and live.any() and above(steps):
+        lo, hi = 0, steps
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        end, diverged_at = hi, hi * dt
+    keep = np.append(np.arange(0, end, config.store_every), end)
+    modes = np.multiply.outer(keep, log_r)
+    modes += log_c
+    np.exp(modes, out=modes)
+    modes *= np.sign(c)
+    states = modes @ V.T
+    states[0] = x0
+    return _trajectory(keep, states, pairs, dt, diverged_at)
 
 
 def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Trajectory:
@@ -288,29 +330,23 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
     ``delta`` is None, a dict {edge index: additive perturbation}, or a full
     length-m vector; perturbed weights may pass through zero (the edge
     simply drops out of the dynamics).  Raises StepSizeError when
-    dt >= 2/lambda_max(L).
+    dt >= 2/lambda_max(L).  Zero-input runs are evaluated in closed form in
+    L's eigenbasis (:func:`_run_modal`); runs with an input step RK4.
     """
     L = gr.laplacian(gr._with_weights(g, _perturbed_weights(g, delta)))
-    lam_max = float(np.linalg.eigvalsh(L)[-1]) if g.node_count else 0.0
-    _check_step(config.dt, lam_max)
+    lam, V = np.linalg.eigh(L)
+    _check_step(config.dt, float(lam[-1]) if lam.size else 0.0)
     x0 = _resolve_initial_state(g, config)
-    Eo = _output_incidence(g, config)
+    pairs = _output_pairs(g, config)
     if config.exogenous_input is None:
-        h = config.dt
-        A = -h * L
-        Phi = np.eye(g.node_count)
-        term = np.eye(g.node_count)
-        for j in (1.0, 2.0, 3.0, 4.0):
-            term = term @ A / j
-            Phi = Phi + term
-        return _run(None, Phi, x0, Eo, config)
+        return _run_modal(lam, V, x0, pairs, config)
 
     v = config.exogenous_input
 
     def deriv(t: float, x: np.ndarray) -> np.ndarray:
         return -(L @ x) + v(t)
 
-    return _run(deriv, None, x0, Eo, config)
+    return _run(deriv, x0, pairs, config)
 
 
 def simulate_nonlinear(
@@ -343,7 +379,7 @@ def simulate_nonlinear(
     lam_max = float(np.linalg.eigvalsh(L)[-1])
     _check_step(config.dt, lam_max + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)
-    Eo = _output_incidence(g, config)
+    pairs = _output_pairs(g, config)
     v = config.exogenous_input
 
     if v is None:
@@ -353,7 +389,7 @@ def simulate_nonlinear(
         def deriv(t: float, x: np.ndarray) -> np.ndarray:
             return -(L @ x) - Ed @ coupling(Ed.T @ x) + v(t)
 
-    return _run(deriv, None, x0, Eo, config)
+    return _run(deriv, x0, pairs, config)
 
 
 def detect_clusters(values: Sequence[float] | np.ndarray, tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:
@@ -416,8 +452,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     n = traj.states.shape[1]
     p = traj.outputs.shape[1]
     header = ["t"] + [f"x{i}" for i in range(n)] + [f"z{j}" for j in range(p)]
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(traj.times)):
-            row = [traj.times[i], *traj.states[i], *traj.outputs[i]]
-            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+        for values in np.column_stack((traj.times, traj.states, traj.outputs)):
+            fh.write(row % tuple(values.tolist()))

@@ -1,9 +1,11 @@
 import json
+from functools import cached_property
 
 import pytest
 
 from conftest import triangle_chain
 from resistnet import build_graph, save_graph
+from resistnet.graph import WeightedGraph
 from resistnet.cli import main
 
 
@@ -100,6 +102,26 @@ def test_analyze_thresholds_beyond_twenty_edges(capsys, tmp_path):
     assert code == 0
     assert "negative-edge thresholds (|w| must stay below):\n  edge 0: 0.5\n  edge 23: 0.5\n" in out
     assert "skipped" not in out
+
+
+def test_analyze_eigendecomposes_positive_subgraph_once(capsys, tmp_path, monkeypatch):
+    # the verdict, the LMI, the cut test, the thresholds and the total-resistance
+    # check all read the one cached positive subgraph and its factorization
+    solve = WeightedGraph.__dict__["grounded_eigh"].func
+    seen = []
+
+    def counting(g):
+        seen.append((g.node_count, g.edge_count))
+        return solve(g)
+
+    wrapped = cached_property(counting)
+    wrapped.__set_name__(WeightedGraph, "grounded_eigh")
+    monkeypatch.setattr(WeightedGraph, "grounded_eigh", wrapped)
+    path = triangle_chain_file(tmp_path, negative=(0, 23))
+    code, _, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert seen.count((17, 22)) == 1
+    assert seen.count((17, 24)) == 1
 
 
 # ------------------------------------------------------------------ margin

@@ -231,6 +231,12 @@ def test_signed_partition_and_subgraphs():
     assert minus.edges == ((0, 2, -2.0),)
 
 
+def test_positive_subgraph_is_cached():
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, -2.0), (1, 2, 3.0)])
+    assert positive_subgraph(g) is positive_subgraph(g)
+    assert positive_subgraph(g).edges == ((0, 1, 1.0), (1, 2, 3.0))
+
+
 def test_negative_cut_components():
     bridge = build_graph(3, [(0, 1, 1.0), (1, 2, -1.0)])
     cut_exists, cut_edges = negative_cut_components(bridge)
