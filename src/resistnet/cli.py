@@ -10,6 +10,7 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 
 from . import graph as gr
+from . import resistance as rs
 from . import robustness as rb
 from . import simulation as sim
 from . import spectral as sp
@@ -78,7 +80,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # copies the ``append`` defaults, so no call leaks into the next
     parser = _Parser(
         prog="resistnet",
         description="Stability and robustness analysis of weighted consensus networks.",
@@ -440,12 +445,14 @@ def cmd_simulate(args) -> int:
             raise InputError(f"--perturb edge {k} out of range for {g.edge_count} edges")
         w[k] += d
     perturbed = gr._with_weights(g, w) if delta else g
-    lam_max = float(np.linalg.eigvalsh(gr.laplacian(perturbed))[-1])
     for k in couplings:
         if not (0 <= k < g.edge_count):
             raise InputError(f"--nonlinear edge {k} out of range for {g.edge_count} edges")
-    slope = max((abs(a) + abs(b * c) for a, b, c in couplings.values()), default=0.0)
-    dt = args.dt if args.dt is not None else _auto_dt(lam_max + slope)
+    dt = args.dt
+    if dt is None:  # the integrators run their own step guards
+        lam_max = float(np.linalg.eigvalsh(gr.laplacian(perturbed))[-1])
+        slope = max((abs(a) + abs(b * c) for a, b, c in couplings.values()), default=0.0)
+        dt = _auto_dt(lam_max + slope)
 
     config = sim.SimulationConfig(
         duration=args.duration,
@@ -506,7 +513,7 @@ def cmd_repro_sec6(args) -> int:
 
     # independent argmax: per-edge resistance from the Laplacian pseudoinverse
     L = gr.laplacian(g)
-    Lp = sp.pseudoinverse(L)
+    Lp = rs._laplacian_pinv(g)
     res_scan = np.array([Lp[a, a] - 2.0 * Lp[a, b] + Lp[b, b] for a, b, _ in g.edges])
     scan_edge = int(np.argmax(res_scan))
     binding_matches_scan = scan_edge == k_bind

@@ -5,6 +5,10 @@ weights (negative and positive weights both allowed).  Edges carry a fixed
 reference orientation, tail -> head with ``tail < head``, which makes the
 incidence matrix and every derived object deterministic.  Edge indices are
 positions in the edge tuple and are preserved by every operation here.
+
+Each graph caches one factorization that every analysis shares: the
+eigenvalues of the grounded Laplacian pencil (``grounded_eigvals``) and the
+grounded inverse built through the same scaling (``grounded_inverse``).
 """
 
 from __future__ import annotations
@@ -108,26 +112,42 @@ class WeightedGraph:
         return _edge_subgraph(self, signed_partition(self).positive_edges)
 
     @cached_property
-    def grounded_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs ``(lam, U)`` of the grounded Laplacian pencil, shared by every analysis.
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, A)`` of the grounded Laplacian pencil, shared by both kernel properties.
 
-        Grounding deletes each component's smallest node from L and from its
-        unit-weight copy L1: U^T L U = diag(lam), U^T L1 U = I.  lam has the
-        inertia of R W R^T (congruent), equals its eigenvalues, the weights,
-        on a tree, and lies in [w_min, w_max] on any positive graph.  U is
-        zero at the deleted nodes: d^T L^+ d = sum((U^T d)^2 / lam) for
-        d = e_u - e_v within one component.
+        Grounding deletes each component's smallest node; C is the Cholesky
+        factor of the grounded unit-weight Laplacian L1_g, S is C^{-1} with
+        zero columns at the deleted nodes, and A = S L S^T = C^{-1} L_g C^{-T}.
         """
         _, labels = connected_components(self)
         keep = np.ones(self.node_count, dtype=bool)
         keep[np.unique(labels, return_index=True)[1]] = False
-        grounded = np.ix_(keep, keep)
-        unit = laplacian(_with_weights(self, np.ones(self.edge_count)))[grounded]
-        C_inv = np.linalg.inv(np.linalg.cholesky(unit))
-        lam, V = np.linalg.eigh(C_inv @ laplacian(self)[grounded] @ C_inv.T)
-        U = np.zeros((self.node_count, lam.size))
-        U[keep] = C_inv.T @ V
-        return lam, U
+        unit = laplacian(_with_weights(self, np.ones(self.edge_count)))[np.ix_(keep, keep)]
+        S = np.zeros((unit.shape[0], self.node_count))
+        S[:, keep] = np.linalg.inv(np.linalg.cholesky(unit))
+        return S, S @ laplacian(self) @ S.T
+
+    @cached_property
+    def grounded_eigvals(self) -> np.ndarray:
+        """Eigenvalues of the grounded Laplacian pencil (L_g, L1_g), ascending.
+
+        They have the inertia of R W R^T (congruent), equal its eigenvalues,
+        the weights, on a tree, and lie in [w_min, w_max] on any positive
+        graph, so a zero cut on them does not tighten as the graph grows.
+        """
+        return np.linalg.eigvalsh(self._pencil[1])
+
+    @cached_property
+    def grounded_inverse(self) -> np.ndarray:
+        """n x n grounded inverse G = C^{-T} A^{-1} C^{-1} = L_g^{-1}, zero at the deleted nodes.
+
+        Built through the pencil's scaling by an LU solve, so a signed
+        nonsingular L_g works too: d^T L^+ d = d^T G d for d = e_u - e_v
+        within one component.  Callers test the pencil's eigenvalues for
+        singularity first.
+        """
+        S, A = self._pencil
+        return S.T @ np.linalg.solve(A, S)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Effective resistance through the grounded-Laplacian kernel or the pseudoinverse.
 
-The default reads the graph's cached eigendecomposition of the grounded
-Laplacian against its unit-weight copy (``WeightedGraph.grounded_eigh``),
-which is congruent to the cut-space matrix R W R^T, so it equals the paper's
-edge form x^T (R W R^T)^{-1} x without building the spanning forest
-(``graph.spanning_forest`` keeps that form as the reference).  The
-pseudoinverse form d^T L(G)^+ d is an independent cross-check.  Both accept
-signed weights as long as the required inverse exists.
+The default reads entries of the graph's cached grounded inverse
+G = L_g^{-1} (``WeightedGraph.grounded_inverse``): R_uv = G_uu + G_vv - 2 G_uv.
+G is built through the pencil of L_g against its unit-weight copy, which is
+congruent to the cut-space matrix R W R^T, so it equals the paper's edge
+form x^T (R W R^T)^{-1} x without building the spanning forest
+(``graph.spanning_forest`` keeps that form as the reference); the pencil's
+eigenvalues decide singularity.  The pseudoinverse form d^T L(G)^+ d, with
+L^+ built from the component indicators, is an independent cross-check.
+Both accept signed weights as long as the required inverse exists.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from . import graph as gr
-from . import spectral as sp
 from .errors import DisconnectedGraphError, GraphConstructionError, SingularMatrixError
 
 __all__ = [
@@ -51,7 +52,7 @@ def node_pair_resistance_matrix(
             raise DisconnectedGraphError(
                 f"nodes {u} and {v} lie in different components: infinite resistance"
             )
-    lam, U = g.grounded_eigh
+    lam = g.grounded_eigvals
     size = np.abs(lam)
     if lam.size and size.min() <= _SINGULAR_RTOL * size.max():
         ratio = 0.0 if size.max() == 0 else size.min() / size.max()
@@ -61,9 +62,24 @@ def node_pair_resistance_matrix(
             "the network sits on a degeneracy of its weights"
         )
     ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    Z = (U[ends[:, 0]] - U[ends[:, 1]]).T
-    M = Z.T @ (Z / lam[:, None])
+    return _pair_gram(g.grounded_inverse, ends[:, 0], ends[:, 1])
+
+
+def _pair_gram(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(e_a - e_b)^T G (e_a - e_b) over pairs, read from entries of G (symmetrized)."""
+    M = G[np.ix_(a, a)] - G[np.ix_(a, b)] - G[np.ix_(b, a)] + G[np.ix_(b, b)]
     return 0.5 * (M + M.T)
+
+
+def _laplacian_pinv(g: gr.WeightedGraph) -> np.ndarray:
+    """L^+ = (L + N N^T)^{-1} - N N^T, N the unit-norm component indicators.
+
+    L's null space is known by structure, so no eigenvalue is cut: a weak
+    bridge keeps its resistance 1/w.
+    """
+    N = gr.component_indicators(g, normalized=True)
+    NN = N @ N.T
+    return np.linalg.inv(gr.laplacian(g) + NN) - NN
 
 
 def effective_resistance(g: gr.WeightedGraph, u: int, v: int, method: str = "edge_form") -> float:
@@ -91,7 +107,7 @@ def effective_resistance(g: gr.WeightedGraph, u: int, v: int, method: str = "edg
             )
         d = np.zeros(g.node_count)
         d[u], d[v] = 1.0, -1.0
-        return float(d @ sp.pseudoinverse(gr.laplacian(g)) @ d)
+        return float(d @ _laplacian_pinv(g) @ d)
     raise ValueError(f"unknown method {method!r}; expected 'edge_form' or 'pseudoinverse'")
 
 

@@ -14,9 +14,13 @@ supports the per-edge margins are exact as well.  Sector-bounded nonlinear
 couplings are certified by a gain condition plus a quadratic condition on
 the sector widths.
 
-Margins read the cached grounded kernel L_g^{-1} = U Lambda^{-1} U^T:
-M11(0) = Y^T Y, Y = Lambda^{-1/2} U^T B_delta over E_delta's incidence
-columns.  ``m11_frequency_response`` keeps the forest form above.
+Margins read the graph's cached grounded inverse G = L_g^{-1}: M11(0) is
+the resistance Gram over E_delta read from entries of G, and the per-edge
+resistances are its diagonal.  sigma_bar needs no n x m channel: it is
+1/lambda_min of the grounded pencil when E_delta is every edge, otherwise
+the top eigenvalue of the smaller of the |E_delta|-square Gram and the
+(n-1)-square K^T L_delta,g K (K K^T = G_g, L_delta the unit Laplacian of
+E_delta).  ``m11_frequency_response`` keeps the forest form above.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import graph as gr
+from . import resistance as rs
 from . import spectral as sp
 from . import stability as st
 from .errors import GraphConstructionError, NominalInstabilityError, NotApplicableError
@@ -183,23 +188,34 @@ def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
         )
 
 
-def _channel(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> np.ndarray:
-    """Y = Lambda^{-1/2} U^T B_delta from the grounded kernel, so M11(0) = Y^T Y."""
+def _validated_inverse(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> np.ndarray:
     _require_nominal_stability(g, tol)
     _validate_edges(g, spec.uncertain_edges)
-    lam, U = g.grounded_eigh
-    k = list(spec.uncertain_edges)
-    return (U[g.tails[k]] - U[g.heads[k]]).T / np.sqrt(lam)[:, None]
+    return g.grounded_inverse
 
 
 def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
-    """Per-edge resistances (Y's squared column norms) and sigma_bar(M11(0)).
+    """Per-edge resistances G_tt + G_hh - 2 G_th and sigma_bar(M11(0)).
 
-    sigma_bar is the top eigenvalue of the smaller of Y Y^T and Y^T Y.
+    sigma_bar is 1/lam_min when E_delta is every edge (B B^T = L1, so
+    M11(0) shares its nonzero spectrum with Lambda^{-1}), the top eigenvalue
+    of the |E_delta|-square Gram when |E_delta| <= n - 1, and otherwise that
+    of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
     """
-    Y = _channel(g, spec, tol)
-    gram = Y.T @ Y if Y.shape[1] <= Y.shape[0] else Y @ Y.T
-    return np.einsum("ij,ij->j", Y, Y), float(np.linalg.eigvalsh(gram)[-1])
+    G = _validated_inverse(g, spec, tol)
+    k = list(spec.uncertain_edges)
+    t, h = g.tails[k], g.heads[k]
+    r = G[t, t] - G[t, h] - G[h, t] + G[h, h]
+    lam = g.grounded_eigvals
+    if len(k) == g.edge_count:
+        return r, 1.0 / float(lam[0])
+    if len(k) <= lam.size:
+        return r, float(np.linalg.eigvalsh(rs._pair_gram(G, t, h))[-1])
+    unit = np.zeros(g.edge_count)
+    unit[k] = 1.0
+    K = np.linalg.cholesky(G[1:, 1:])  # connected: node 0 is the grounded one
+    L_delta = gr.laplacian(gr._with_weights(g, unit))[1:, 1:]
+    return r, float(np.linalg.eigvalsh(K.T @ L_delta @ K)[-1])
 
 
 def m11_at_zero(
@@ -209,10 +225,11 @@ def m11_at_zero(
 
     Equals the effective-resistance Gram matrix over the uncertain edges;
     symmetric and positive semidefinite for nominally stable networks.
-    Evaluated as Y^T Y from the graph's grounded-Laplacian kernel.
+    Read from entries of the graph's grounded inverse.
     """
-    Y = _channel(g, spec, tol)
-    return Y.T @ Y
+    G = _validated_inverse(g, spec, tol)
+    k = list(spec.uncertain_edges)
+    return rs._pair_gram(G, g.tails[k], g.heads[k])
 
 
 def m11_frequency_response(

@@ -2,12 +2,14 @@
 
 The Laplacian L = E W E^T of a connected network with n_zero = 1 and no
 negative eigenvalues drives the agreement dynamics xdot = -L x to consensus.
-Classification reads the graph's cached grounded-Laplacian pencil (L with
-one node per component deleted, against its unit-weight copy; congruent to
-R W R^T), whose inertia equals L's up to the structural zeros, plus a set of
-certificates for networks with negative weights: a positive-semidefinite
-block test, a cut criterion, single- and multi-edge magnitude thresholds,
-and a total-resistance necessary condition.
+Classification reads the eigenvalues of the graph's cached grounded-Laplacian
+pencil (L with one node per component deleted, against its unit-weight copy;
+congruent to R W R^T), whose inertia equals L's up to the structural zeros,
+plus a set of certificates for networks with negative weights: a
+positive-semidefinite block test (true by structure without negative
+edges), a cut criterion, single- and multi-edge magnitude thresholds and a
+total-resistance necessary condition, which read resistances from the
+positive subgraph's cached grounded inverse.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def classify_stability(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Stab
     the pencil against the unit-weight grounded Laplacian, which do not
     shrink as the graph grows (on a tree they are the weights).
     """
-    lam, _ = g.grounded_eigh
+    lam = g.grounded_eigvals
     ess = sp._eigval_signature(lam, tol)
     sig = sp.Signature(ess.n_plus, ess.n_minus, ess.n_zero + g.node_count - lam.size)
     if sig.n_minus > 0:
@@ -81,13 +83,13 @@ def lmi_psd_check(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> bool:
     """Block-matrix test equivalent to L(G) being positive semidefinite.
 
     Checks that [[|W_-|^{-1}, E_-^T], [E_-, E_+ W_+ E_+^T]] >= 0, where the
-    split is by weight sign.  With no negative edges this reduces to L >= 0
-    directly.  Agrees with ``classify_stability``'s n_minus == 0 for every
-    signed graph.
+    split is by weight sign.  With no negative edges L = E W E^T >= 0 holds
+    by structure, so no eigensolve runs.  Agrees with
+    ``classify_stability``'s n_minus == 0 for every signed graph.
     """
     part = gr.signed_partition(g)
     if not part.negative_edges:
-        return sp.is_psd(gr.laplacian(g), tol)
+        return True
     E = gr.incidence_matrix(g)
     En = E[:, list(part.negative_edges)]
     wn = np.abs(g.weights[list(part.negative_edges)])

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from functools import cached_property
 
+import numpy as np
 import pytest
 
+import resistnet
 from conftest import triangle_chain
-from resistnet import build_graph, save_graph
+from resistnet import build_graph, laplacian, save_graph
 from resistnet.graph import WeightedGraph
 from resistnet.cli import main
 
@@ -107,21 +112,21 @@ def test_analyze_thresholds_beyond_twenty_edges(capsys, tmp_path):
 def test_analyze_eigendecomposes_positive_subgraph_once(capsys, tmp_path, monkeypatch):
     # the verdict, the LMI, the cut test, the thresholds and the total-resistance
     # check all read the one cached positive subgraph and its factorization
-    solve = WeightedGraph.__dict__["grounded_eigh"].func
-    seen = []
+    seen = {}
+    for name in ("grounded_eigvals", "grounded_inverse"):
+        def counting(g, solve=WeightedGraph.__dict__[name].func, log=seen.setdefault(name, [])):
+            log.append((g.node_count, g.edge_count))
+            return solve(g)
 
-    def counting(g):
-        seen.append((g.node_count, g.edge_count))
-        return solve(g)
-
-    wrapped = cached_property(counting)
-    wrapped.__set_name__(WeightedGraph, "grounded_eigh")
-    monkeypatch.setattr(WeightedGraph, "grounded_eigh", wrapped)
+        wrapped = cached_property(counting)
+        wrapped.__set_name__(WeightedGraph, name)
+        monkeypatch.setattr(WeightedGraph, name, wrapped)
     path = triangle_chain_file(tmp_path, negative=(0, 23))
     code, _, _ = run(capsys, "analyze", path)
     assert code == 0
-    assert seen.count((17, 22)) == 1
-    assert seen.count((17, 24)) == 1
+    for log in seen.values():
+        assert log.count((17, 22)) == 1
+        assert log.count((17, 24)) == 1
 
 
 # ------------------------------------------------------------------ margin
@@ -266,6 +271,74 @@ def test_usage_error_exits_1(capsys):
         main(["bogus"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(A, *args, solve=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(A))
+            return solve(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_simulate_with_dt_eigensolves_once(capsys, tmp_path, triangle_file, monkeypatch):
+    # the automatic step needs lambda_max; a given --dt leaves only the
+    # integrator's own step guard
+    calls = count_eigensolves(monkeypatch)
+    out_csv = str(tmp_path / "traj.csv")
+    for extra in ((), ("--perturb", "0=0.5"), ("--nonlinear", "1=-0.2,0.1,1")):
+        calls.clear()
+        code, _, _ = run(capsys, "simulate", triangle_file, "--dt", "0.01",
+                         "--out", out_csv, *extra)
+        assert code == 0
+        assert calls == [(3, 3)], extra
+
+
+def test_simulate_automatic_dt(capsys, tmp_path):
+    # heavy weights put 1/lambda_max below 0.01, so the step is read off L
+    path = write_graph(tmp_path, "heavy.json", 3, [(0, 1, 100.0), (0, 2, 80.0), (1, 2, 60.0)])
+    out_csv = str(tmp_path / "traj.csv")
+    for extra, weights, slope in (
+        ((), [100.0, 80.0, 60.0], 0.0),
+        (("--perturb", "0=-20", "--nonlinear", "2=-0.5,2,3"), [80.0, 80.0, 60.0], 6.5),
+    ):
+        L = laplacian(build_graph(3, [(0, 1, weights[0]), (0, 2, weights[1]),
+                                      (1, 2, weights[2])]))
+        expected = min(0.01, 1.0 / (float(np.linalg.eigvalsh(L)[-1]) + slope))
+        assert expected < 0.01
+        code, out, _ = run(capsys, "simulate", path, "--out", out_csv, "--json", *extra)
+        assert code == 0
+        assert json.loads(out)["dt"] == float(format(expected, ".12g"))
+
+
+def test_parser_reuse_leaks_no_defaults(capsys, tmp_path, triangle_file):
+    # one process: repeatable flags, then a usage error, then a plain run;
+    # the last report must match a fresh interpreter's
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run(capsys, "simulate", triangle_file, "--perturb", "0=0.5",
+                     "--nonlinear", "1=-0.2,0.1,1", "--out", str(out_csv), "--json")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", triangle_file, "--no-such-flag"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out, _ = run(capsys, "simulate", triangle_file, "--out", str(out_csv), "--json")
+    assert code == 0
+    in_process = out_csv.read_bytes()
+
+    src = os.path.dirname(os.path.dirname(resistnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "resistnet.cli", "simulate", triangle_file,
+         "--out", str(out_csv), "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert json.loads(out) == json.loads(fresh.stdout)
+    assert out_csv.read_bytes() == in_process
 
 
 # --------------------------------------------------------------- repro-sec6

@@ -1,12 +1,14 @@
 """The grounded-Laplacian kernel against the edge form and the pseudoinverse.
 
-Every verdict and margin is read from one cached eigendecomposition per
-graph; the spanning-forest edge form (cut Gram R W R^T) and the Laplacian
-pseudoinverse stay as independent oracles here.
+Every verdict and margin is read from one cached factorization per graph
+(pencil eigenvalues and the grounded inverse); the spanning-forest edge
+form (cut Gram R W R^T) and the Laplacian pseudoinverse stay as independent
+oracles here.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ def test_weak_edge_on_long_path_matches_edge_form():
     """On a tree the kernel's eigenvalues are R W R^T's, the weights, at any length."""
     for w in (1e-6, 1e-7, 1e-8, 1e-11):
         g = weak_path(w)
-        lam, _ = g.grounded_eigh
+        lam = g.grounded_eigvals
         assert np.allclose(np.sort(lam), np.sort(g.weights), rtol=1e-4, atol=1e-13)
         assert classify_stability(g).signature.as_tuple() == edge_form_signature(g)
         if w < 1e-9:
@@ -181,7 +183,7 @@ def test_weak_bridge_between_blocks_keeps_its_weight():
     """
     for w in (1e-4, 1e-5, 1e-6, 1e-7):
         g = weak_bridge(w)
-        lam, _ = g.grounded_eigh
+        lam = g.grounded_eigvals
         assert lam.min() == pytest.approx(w, rel=1e-5)
         verdict = classify_stability(g)
         assert verdict.classification == "stable_agreement"
@@ -190,6 +192,12 @@ def test_weak_bridge_between_blocks_keeps_its_weight():
         if edge_form[2] == 1:
             assert verdict.signature.as_tuple() == edge_form
         assert effective_resistance(g, 0, 40) == pytest.approx(1.0 / w, rel=1e-5)
+
+
+def test_weak_bridge_pseudoinverse_keeps_its_weight():
+    """L^+ formed from the component indicators drops no eigenvalue as zero."""
+    g = weak_bridge(1e-6)
+    assert effective_resistance(g, 0, 40, method="pseudoinverse") == pytest.approx(1e6, rel=1e-6)
 
 
 # ------------------------------------------------------- sector check
@@ -267,11 +275,12 @@ def test_diagonal_sector_check_matches_dense_eigensolve():
 
 
 def test_analysis_never_touches_edge_form(monkeypatch, tmp_path, capsys):
+    # nor eigenvectors: the kernel needs the pencil's eigenvalues and one inverse
     def forbidden(*args, **kwargs):
-        raise AssertionError("edge-form reference called on the analysis path")
+        raise AssertionError("edge-form reference or eigenvector solve called on the analysis path")
 
     for mod, name in ((gr, "spanning_forest"), (gr, "weighted_cut_matrix"),
-                      (gr, "forest_left_inverse"), (sp, "spectral_norm")):
+                      (gr, "forest_left_inverse"), (sp, "spectral_norm"), (np.linalg, "eigh")):
         monkeypatch.setattr(mod, name, forbidden)
 
     n = 40
@@ -318,3 +327,20 @@ def test_analysis_never_touches_edge_form(monkeypatch, tmp_path, capsys):
                 pass
             sectors = SectorSpec(tuple((-0.1, 0.4) for _ in spec.uncertain_edges))
             sector_stability_check(h, spec, sectors)
+
+
+def test_margins_never_form_an_n_by_m_channel():
+    """Peak traced memory of the all-edge margins stays below half of one (n-1) x m array."""
+    n = 400
+    radius = 1.9 * math.sqrt(math.log(n) / (math.pi * n))
+    limit = 0.5 * (n - 1) * generate_rgg(n, radius, seed=9).edge_count * 8
+    for margin in (worst_single_edge,
+                   lambda g: small_gain_margin(g, UncertaintySpec(tuple(range(g.edge_count))))):
+        g = generate_rgg(n, radius, seed=9)
+        tracemalloc.start()
+        try:
+            margin(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit

@@ -13,6 +13,7 @@ from resistnet import (
     classify_stability,
     connected_components,
     effective_resistance,
+    is_psd,
     laplacian,
     lmi_psd_check,
     multi_negative_edge_thresholds,
@@ -77,6 +78,15 @@ def test_lmi_psd_check_agrees_with_signature():
         g = random_signed(rng)
         psd = classify_stability(g).signature.n_minus == 0
         assert lmi_psd_check(g) == psd
+    # positive graphs are PSD by structure; the dense eigensolve agrees,
+    # also with weights spanning 9 decades
+    for _ in range(60):
+        g = random_connected_positive(rng)
+        wide = build_graph(g.node_count, [(u, v, float(10.0 ** rng.uniform(-6, 3)))
+                                          for u, v, _ in g.edges])
+        for h in (g, wide):
+            assert lmi_psd_check(h) is True
+            assert is_psd(laplacian(h))
 
 
 def test_lmi_boundary_cases():
