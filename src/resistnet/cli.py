@@ -4,6 +4,8 @@ Exit codes: 0 on success (including stable analytic verdicts), 2 for
 analytic negative outcomes (unstable network, uncertified sector, diverged
 simulation, unmet reproduction expectations), 1 for usage and input errors.
 Reports print floats at 12 significant digits; trajectory files carry 17.
+A JSON report is written in one walk of the document that rounds each float
+as it goes, laid out as ``json.dumps(..., indent=2, sort_keys=True)`` would.
 All output is deterministic for fixed inputs.
 """
 
@@ -11,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -57,19 +59,44 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _jround(obj):
-    """Round floats to 12 significant digits for deterministic JSON."""
+def _json_text(obj, indent: str = "") -> str:
+    """JSON text of a report in one walk: floats at 12 significant digits.
+
+    The layout is ``json.dumps(..., indent=2, sort_keys=True)``'s (keys
+    sorted, non-ASCII escaped, NaN and infinities as ``NaN``/``Infinity``),
+    without its pure-Python encoder or a rounded copy of the document.
+    Keys must be strings; any value JSON has no form for raises TypeError.
+    """
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
+        if math.isfinite(obj):
+            return repr(float(format(obj, ".12g")))
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _jround(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jround(v) for v in obj]
-    return obj
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json_text(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(_jround(doc), indent=2, sort_keys=True))
+    print(_json_text(doc))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -629,8 +656,7 @@ def cmd_repro_sec6(args) -> int:
         )),
     }
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(_jround(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
     if args.json:
         _emit_json(doc)

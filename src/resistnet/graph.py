@@ -8,7 +8,9 @@ positions in the edge tuple and are preserved by every operation here.
 
 Each graph caches one factorization that every analysis shares: the
 eigenvalues of the grounded Laplacian pencil (``grounded_eigvals``) and the
-grounded inverse built through the same scaling (``grounded_inverse``).
+grounded inverse built through the same scaling (``grounded_inverse``).  It
+also caches its sign split, its positive subgraph (itself when no edge is
+negative) and the resistances across its negative edges in that subgraph.
 """
 
 from __future__ import annotations
@@ -107,9 +109,26 @@ class WeightedGraph:
         return count, labels, in_forest
 
     @cached_property
+    def _signs(self) -> SignedPartition:
+        pos = tuple(k for k, (_, _, w) in enumerate(self.edges) if w > 0)
+        neg = tuple(k for k, (_, _, w) in enumerate(self.edges) if w < 0)
+        return SignedPartition(pos, neg)
+
+    @cached_property
     def _positive(self) -> WeightedGraph:
-        # built once, so its cached factorization and BFS are shared too
-        return _edge_subgraph(self, signed_partition(self).positive_edges)
+        # built once, so its cached factorization and BFS are shared too; only
+        # for signed graphs, since caching the graph itself here would be a cycle
+        return _edge_subgraph(self, self._signs.positive_edges)
+
+    @cached_property
+    def _negative_resistances(self) -> np.ndarray:
+        """d x d resistance Gram R_- of the negative edges' endpoints in the
+        positive subgraph, read once for the thresholds and the
+        total-resistance check (which test its connectivity first)."""
+        from .resistance import node_pair_resistance_matrix  # resistance builds on this module
+
+        pairs = [self.edges[k][:2] for k in self._signs.negative_edges]
+        return node_pair_resistance_matrix(self._positive, pairs)
 
     @cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +141,8 @@ class WeightedGraph:
         _, labels = connected_components(self)
         keep = np.ones(self.node_count, dtype=bool)
         keep[np.unique(labels, return_index=True)[1]] = False
-        unit = laplacian(_with_weights(self, np.ones(self.edge_count)))[np.ix_(keep, keep)]
+        unit = _laplacian(self.node_count, self.tails, self.heads, np.ones(self.edge_count))
+        unit = unit[np.ix_(keep, keep)]
         S = np.zeros((unit.shape[0], self.node_count))
         S[:, keep] = np.linalg.inv(np.linalg.cholesky(unit))
         return S, S @ laplacian(self) @ S.T
@@ -243,7 +263,11 @@ def incidence_matrix(g: WeightedGraph) -> np.ndarray:
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted graph Laplacian L = E W E^T (symmetric, 1 in its null space), by scatter."""
-    n, t, h, w = g.node_count, g.tails, g.heads, g.weights
+    return _laplacian(g.node_count, g.tails, g.heads, g.weights)
+
+
+def _laplacian(n: int, t: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplacian of the edges (t_k, h_k) with weights w_k on n nodes."""
     L = np.zeros((n, n))
     L[t, h] = L[h, t] = -w
     L[np.diag_indices(n)] = np.bincount(t, w, n) + np.bincount(h, w, n)
@@ -362,10 +386,8 @@ def forest_left_inverse(g: WeightedGraph, f: ForestDecomposition) -> np.ndarray:
 
 
 def signed_partition(g: WeightedGraph) -> SignedPartition:
-    """Edge indices split into positive-weight and negative-weight groups."""
-    pos = tuple(k for k, (_, _, w) in enumerate(g.edges) if w > 0)
-    neg = tuple(k for k, (_, _, w) in enumerate(g.edges) if w < 0)
-    return SignedPartition(pos, neg)
+    """Edge indices split into positive-weight and negative-weight groups (cached per graph)."""
+    return g._signs
 
 
 def _with_weights(g: WeightedGraph, weights: Sequence[float]) -> WeightedGraph:
@@ -382,8 +404,11 @@ def _edge_subgraph(g: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
 
 
 def positive_subgraph(g: WeightedGraph) -> WeightedGraph:
-    """Subgraph on the full node set keeping only positive-weight edges (cached per graph)."""
-    return g._positive
+    """Subgraph on the full node set keeping only positive-weight edges.
+
+    That is ``g`` itself when no edge is negative, else built once per graph.
+    """
+    return g._positive if g._signs.negative_edges else g
 
 
 def negative_subgraph(g: WeightedGraph) -> WeightedGraph:
@@ -398,6 +423,8 @@ def negative_cut_components(g: WeightedGraph) -> tuple[bool, tuple[int, ...]]:
     the negative edges increases the component count, and ``cut_edges`` lists
     the negative edges whose endpoints then lie in different components.
     """
+    if not signed_partition(g).negative_edges:
+        return False, ()
     base_count, _ = connected_components(g)
     plus = positive_subgraph(g)
     plus_count, labels = connected_components(plus)
@@ -478,7 +505,10 @@ def is_balanced(g: WeightedGraph) -> bool:
     A graph is sign-balanced when nodes can be colored with two colors such
     that positive edges join like colors and negative edges join opposite
     colors (equivalently, every cycle has an even number of negative edges).
+    With no negative edge one color fits, so no search runs.
     """
+    if not signed_partition(g).negative_edges:
+        return True
     adj = _adjacency(g)
     color = [-1] * g.node_count
     for root in range(g.node_count):
@@ -514,6 +544,28 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError("field 'edges' must be a list of {u, v, w} objects")
+    triples = _edge_triples(raw_edges)
+    try:
+        return build_graph(nodes, triples)
+    except GraphConstructionError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _edge_triples(raw_edges: list) -> list:
+    """``(u, v, w)`` per ``{u, v, w}`` item, in order.
+
+    Whole-list type checks accept a well-formed list; only otherwise does
+    the per-item loop run, to name the first bad item.  ``build_graph``
+    turns each weight into a float.
+    """
+    if set(map(type, raw_edges)) <= {dict}:
+        try:
+            us, vs, ws = ([item[f] for item in raw_edges] for f in "uvw")
+        except KeyError:
+            pass
+        else:
+            if {*map(type, us), *map(type, vs)} <= {int} and set(map(type, ws)) <= {int, float}:
+                return list(zip(us, vs, ws))
     triples = []
     for k, item in enumerate(raw_edges):
         if not isinstance(item, dict):
@@ -527,10 +579,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise GraphFormatError(f"edges[{k}]: field 'w' must be a number, got {w!r}")
         triples.append((u, v, float(w)))
-    try:
-        return build_graph(nodes, triples)
-    except GraphConstructionError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return triples
 
 
 def graph_to_dict(g: WeightedGraph) -> dict:

@@ -211,10 +211,8 @@ def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.n
         return r, 1.0 / float(lam[0])
     if len(k) <= lam.size:
         return r, float(np.linalg.eigvalsh(rs._pair_gram(G, t, h))[-1])
-    unit = np.zeros(g.edge_count)
-    unit[k] = 1.0
     K = np.linalg.cholesky(G[1:, 1:])  # connected: node 0 is the grounded one
-    L_delta = gr.laplacian(gr._with_weights(g, unit))[1:, 1:]
+    L_delta = gr._laplacian(g.node_count, t, h, np.ones(len(k)))[1:, 1:]
     return r, float(np.linalg.eigvalsh(K.T @ L_delta @ K)[-1])
 
 

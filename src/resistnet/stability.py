@@ -177,8 +177,7 @@ def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
         for b in keys[i + 1:]:
             if supports[a] & supports[b]:
                 return MultiEdgeThresholds(False, None, (a, b))
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in part.negative_edges]
-    diag = np.diag(rs.node_pair_resistance_matrix(plus, pairs))
+    diag = np.diag(g._negative_resistances)
     thresholds = {k: 1.0 / float(r) for k, r in zip(part.negative_edges, diag)}
     return MultiEdgeThresholds(True, thresholds)
 
@@ -201,7 +200,6 @@ def total_resistance_necessary_check(g: gr.WeightedGraph) -> bool:
         raise DisconnectedGraphError(
             "total_resistance_necessary_check requires a connected positive subgraph"
         )
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in part.negative_edges]
-    r_total = float(np.trace(rs.node_pair_resistance_matrix(plus, pairs)))
+    r_total = float(np.trace(g._negative_resistances))
     capacity = float(np.sum(1.0 / np.abs(g.weights[list(part.negative_edges)])))
     return capacity >= r_total - _BOUNDARY_SLACK * max(1.0, abs(r_total))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,41 @@ import pytest
 import resistnet
 from conftest import triangle_chain
 from resistnet import build_graph, laplacian, save_graph
+from resistnet import cli
+from resistnet import resistance as rs
 from resistnet.graph import WeightedGraph
 from resistnet.cli import main
+
+
+def _jround(obj):
+    """Round floats to 12 significant digits (the encoder's former first pass)."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _jround(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jround(v) for v in obj]
+    return obj
+
+
+def reference_json(doc):
+    """Report text as the json module writes it: the oracle for ``cli._json_text``."""
+    return json.dumps(_jround(doc), indent=2, sort_keys=True)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_reference_json(monkeypatch):
+    # every report a test here writes, to stdout or report.json, is also
+    # written by the json module and compared byte for byte
+    encode = cli._json_text
+
+    def checked(obj, indent=""):
+        text = encode(obj, indent)
+        if not indent:
+            assert text == reference_json(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 @pytest.fixture
@@ -127,6 +161,24 @@ def test_analyze_eigendecomposes_positive_subgraph_once(capsys, tmp_path, monkey
     for log in seen.values():
         assert log.count((17, 22)) == 1
         assert log.count((17, 24)) == 1
+
+
+def test_analyze_reads_negative_edge_resistances_once(capsys, tmp_path, monkeypatch):
+    # the thresholds and the total-resistance check share one R_- read
+    calls = []
+
+    def counting(g, pairs, read=rs.node_pair_resistance_matrix):
+        calls.append([tuple(p) for p in pairs])
+        return read(g, pairs)
+
+    monkeypatch.setattr(rs, "node_pair_resistance_matrix", counting)
+    path = triangle_chain_file(tmp_path, negative=(0, 23))
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0
+    assert calls == [[(0, 1), (15, 16)]]
+    diag = json.loads(out)["negative_edge_diagnostics"]
+    assert diag["total_resistance_check"] is True
+    assert [item["threshold"] for item in diag["thresholds"]["per_edge"]] == [0.5, 0.5]
 
 
 # ------------------------------------------------------------------ margin
@@ -339,6 +391,35 @@ def test_parser_reuse_leaks_no_defaults(capsys, tmp_path, triangle_file):
     assert fresh.returncode == 0, fresh.stderr
     assert json.loads(out) == json.loads(fresh.stdout)
     assert out_csv.read_bytes() == in_process
+
+
+# ------------------------------------------------------------------ report
+
+
+ENCODER_EDGE_CASES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 123456789012.5,
+    1 / 3, 2.5e-300, 1e22, np.float64(2) / 3, [], {}, (), [[]], [{}], {"a": {}},
+    {"b": [1, {"c": [None, True, False]}], "a": (0.1, -7, "x")}, [[1.5, [2.5, []]], {"k": ()}],
+    "", "plain", "h\u00e9llo \u2603 \U0001f600", 'quote " backslash \\ tab \t newline \n',
+    {"\u00fcber": "na\u00efve", "z": -0.0, "y": 10 ** 30}, True, False, None, 0, -12,
+]
+
+
+@pytest.mark.parametrize("value", ENCODER_EDGE_CASES)
+def test_report_encoder_matches_json_module(value):
+    assert cli._json_text(value) == reference_json(value)
+    assert cli._json_text({"value": value, "list": [value, value]}) == \
+        reference_json({"value": value, "list": [value, value]})
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object(), b"bytes"])
+def test_report_encoder_rejects_what_the_json_module_rejects(value):
+    for doc in (value, [1.5, value], {"key": {"inner": value}}):
+        with pytest.raises(TypeError) as expected:
+            reference_json(doc)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(expected.value)
 
 
 # --------------------------------------------------------------- repro-sec6

@@ -370,6 +370,102 @@ def test_load_graph_error_diagnostics(tmp_path):
         load_graph(path)
 
 
+def per_item_graph_from_dict(data):
+    """The per-item loop that once checked every document; the oracle for its messages."""
+    if not isinstance(data, dict):
+        raise GraphFormatError(f"graph document must be an object, got {type(data).__name__}")
+    for key in ("nodes", "edges"):
+        if key not in data:
+            raise GraphFormatError(f"graph document is missing the '{key}' field")
+    nodes = data["nodes"]
+    if isinstance(nodes, bool) or not isinstance(nodes, int):
+        raise GraphFormatError(f"field 'nodes' must be an integer, got {nodes!r}")
+    raw_edges = data["edges"]
+    if not isinstance(raw_edges, list):
+        raise GraphFormatError("field 'edges' must be a list of {u, v, w} objects")
+    triples = []
+    for k, item in enumerate(raw_edges):
+        if not isinstance(item, dict):
+            raise GraphFormatError(f"edges[{k}] must be an object with fields u, v, w")
+        for field in ("u", "v", "w"):
+            if field not in item:
+                raise GraphFormatError(f"edges[{k}] is missing field '{field}'")
+        u, v, w = item["u"], item["v"], item["w"]
+        if isinstance(u, bool) or isinstance(v, bool) or not isinstance(u, int) or not isinstance(v, int):
+            raise GraphFormatError(f"edges[{k}]: fields 'u' and 'v' must be integers")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise GraphFormatError(f"edges[{k}]: field 'w' must be a number, got {w!r}")
+        triples.append((u, v, float(w)))
+    try:
+        return build_graph(nodes, triples)
+    except GraphConstructionError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _edges(*bad, at=1):
+    """Three good unit edges on 4 nodes with ``bad`` items spliced in from position ``at``."""
+    good = [{"u": 0, "v": 1, "w": 1.0}, {"u": 1, "v": 2, "w": 2}, {"u": 2, "v": 3, "w": 0.5}]
+    return {"nodes": 4, "edges": good[:at] + list(bad) + good[at:]}
+
+
+MALFORMED_DOCUMENTS = {
+    "list item": _edges([0, 3, 1.0]),
+    "string item": _edges("0-3"),
+    "null item": _edges(None, at=0),
+    "missing u": _edges({"v": 3, "w": 1.0}),
+    "missing v": _edges({"u": 0, "w": 1.0}),
+    "missing w": _edges({"u": 0, "v": 3}, at=3),
+    "bool endpoint": _edges({"u": True, "v": 3, "w": 1.0}),
+    "float endpoint": _edges({"u": 0, "v": 3.0, "w": 1.0}),
+    "string endpoint": _edges({"u": "0", "v": 3, "w": 1.0}),
+    "bool weight": _edges({"u": 0, "v": 3, "w": False}),
+    "string weight": _edges({"u": 0, "v": 3, "w": "1.0"}),
+    "null weight": _edges({"u": 0, "v": 3, "w": None}),
+    "two faulty items": _edges({"u": 0, "v": 3}, {"u": "0", "v": 2, "w": 1.0}),
+    "format fault after a range fault": _edges({"u": 0, "v": 9, "w": 1.0}, {"u": 0, "v": 3, "w": "x"}),
+    "range fault": _edges({"u": 0, "v": 9, "w": 1.0}),
+    "duplicate pair": _edges({"u": 1, "v": 0, "w": 1.0}),
+    "zero weight": _edges({"u": 0, "v": 3, "w": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_errors_match_the_per_item_loop(name, tmp_path):
+    doc = MALFORMED_DOCUMENTS[name]
+    with pytest.raises(Exception) as expected:
+        per_item_graph_from_dict(doc)
+    with pytest.raises(Exception) as got:
+        graph_from_dict(doc)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+    assert type(got.value) is GraphFormatError
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError) as loaded:
+        load_graph(path)
+    assert str(loaded.value) == f"{path}: {expected.value}"
+
+
+def test_well_formed_documents_match_the_per_item_loop():
+    # int weights, dict subclasses and int subclasses take the per-item path or not,
+    # but build the same graph either way
+    class Count(int):
+        pass
+
+    class Item(dict):
+        pass
+
+    for doc in (
+        _edges(),
+        _edges({"u": 0, "v": 3, "w": 7}),
+        _edges(Item(u=0, v=3, w=1.0)),
+        _edges({"u": Count(0), "v": 3, "w": 1.0}),
+        {"nodes": 1, "edges": []},
+    ):
+        g = graph_from_dict(doc)
+        assert g == per_item_graph_from_dict(doc)
+        assert all(type(w) is float for _, _, w in g.edges)
+
+
 def test_graph_json_schema_shape(tmp_path):
     g = build_graph(2, [(0, 1, 0.5)])
     path = tmp_path / "g.json"

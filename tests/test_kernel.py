@@ -6,14 +6,16 @@ form (cut Gram R W R^T) and the Laplacian pseudoinverse stay as independent
 oracles here.
 """
 
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import random_cactus, random_connected_positive, random_signed
+from conftest import random_cactus, random_connected_positive, random_signed, triangle_chain
 from resistnet import (
     NotApplicableError,
     SectorSpec,
@@ -344,3 +346,37 @@ def test_margins_never_form_an_n_by_m_channel():
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+def test_analyzed_graphs_are_freed_by_reference_counting():
+    """No per-graph cache refers back to its graph, so its n x n arrays go with it."""
+
+    def analyze(g):
+        # the same calls on both graphs; edges 0 and 23 lie in distinct blocks
+        cli._analysis_document(g, sp.DEFAULT_TOL)
+        gr.positive_subgraph(g)
+        every_edge = UncertaintySpec(tuple(range(g.edge_count)))
+        pair = UncertaintySpec((0, 23))
+        worst_single_edge(g)
+        small_gain_margin(g, every_edge)
+        small_gain_margin(g, pair)
+        single_edge_margin(g, 5)
+        disjoint_paths_margin(g, pair)
+        sector_stability_check(g, pair, SectorSpec(((-0.1, 0.4), (-0.1, 0.4))))
+        m11_at_zero(g, every_edge)
+        return weakref.ref(g)
+
+    chain = triangle_chain(8)
+    signed = build_graph(chain.node_count, [(u, v, -0.3 if k in (0, 23) else w)
+                                            for k, (u, v, w) in enumerate(chain.edges)])
+    assert classify_stability(signed).classification == "stable_agreement"
+    graphs = [chain, signed]
+    del chain, signed
+    gc.collect()
+    gc.disable()
+    try:
+        while graphs:
+            ref = analyze(graphs.pop())
+            assert ref() is None
+    finally:
+        gc.enable()
