@@ -6,11 +6,25 @@ reference orientation, tail -> head with ``tail < head``, which makes the
 incidence matrix and every derived object deterministic.  Edge indices are
 positions in the edge tuple and are preserved by every operation here.
 
-Each graph caches one factorization that every analysis shares: the
-eigenvalues of the grounded Laplacian pencil (``grounded_eigvals``) and the
-grounded inverse built through the same scaling (``grounded_inverse``).  It
-also caches its sign split, its positive subgraph (itself when no edge is
-negative) and the resistances across its negative edges in that subgraph.
+Each graph computes every fact about itself once, on first use, and keeps
+it for its lifetime; nothing it keeps refers back to the graph, so the
+graph and its arrays go as soon as the last reference to it does.  It
+keeps:
+
+* one factorization that every analysis shares: the eigenvalues of the
+  grounded Laplacian pencil (``grounded_eigvals``) and the grounded inverse
+  built through the same scaling (``grounded_inverse``); the pencil itself
+  is dropped once both exist;
+* its neighbor lists, shared by the breadth-first search (component labels,
+  read-only, and the spanning forest), the block search and the balance
+  test;
+* its biconnected blocks and their block-cut tree, from which every path
+  support is read;
+* its sign split, its positive subgraph (itself when no edge is negative)
+  and the resistances across its negative edges in that subgraph.
+
+``stability`` and ``robustness`` keep the verdict per zero threshold and
+the margin gains per uncertain-edge set the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,16 +100,31 @@ class WeightedGraph:
         return np.array([e[2] for e in self.edges], dtype=float)
 
     @cached_property
-    def _bfs(self) -> tuple[int, list[int], list[bool]]:
-        """Component count, node labels and forest-edge flags of the BFS that
-        ``connected_components`` and ``spanning_forest`` share."""
-        adj = _adjacency(self)
+    def _adj(self) -> list[list[tuple[int, int]]]:
+        """``(neighbor, edge)`` pairs per node, sorted by neighbor so that
+        traversals are deterministic."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+        for k, (tail, head, _) in enumerate(self.edges):
+            adj[tail].append((head, k))
+            adj[head].append((tail, k))
+        for lst in adj:
+            lst.sort()
+        return adj
+
+    @cached_property
+    def _bfs(self) -> tuple[int, np.ndarray, list[bool], list[int]]:
+        """Component count, read-only node labels, forest-edge flags and
+        component roots (smallest nodes) of the BFS that
+        ``connected_components``, ``spanning_forest`` and the pencil share."""
+        adj = self._adj
         labels = [-1] * self.node_count
         in_forest = [False] * self.edge_count
+        roots = []
         count = 0
         for root in range(self.node_count):
             if labels[root] >= 0:
                 continue
+            roots.append(root)
             labels[root] = count
             queue = deque([root])
             while queue:
@@ -106,7 +135,26 @@ class WeightedGraph:
                         in_forest[k] = True
                         queue.append(nbr)
             count += 1
-        return count, labels, in_forest
+        labels = np.array(labels, dtype=int)
+        labels.flags.writeable = False
+        return count, labels, in_forest, roots
+
+    @cached_property
+    def _blocks(self) -> tuple[list[int], list[int], list[int]]:
+        """Block label per edge, tree edge per node and discovery order of
+        the one block search (``_edge_blocks``) per graph."""
+        return _edge_blocks(self)
+
+    @cached_property
+    def _block_tree(self) -> _BlockTree:
+        return _block_cut_tree(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Analysis results on this graph, keyed by analysis and arguments:
+        ``stability`` keeps its verdict per zero threshold here and
+        ``robustness`` its gains per uncertain-edge set and threshold."""
+        return {}
 
     @cached_property
     def _signs(self) -> SignedPartition:
@@ -131,21 +179,24 @@ class WeightedGraph:
         return node_pair_resistance_matrix(self._positive, pairs)
 
     @cached_property
-    def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(S, A)`` of the grounded Laplacian pencil, shared by both kernel properties.
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, until
+        both kernel properties exist.
 
-        Grounding deletes each component's smallest node; C is the Cholesky
-        factor of the grounded unit-weight Laplacian L1_g, S is C^{-1} with
-        zero columns at the deleted nodes, and A = S L S^T = C^{-1} L_g C^{-T}.
+        Grounding deletes each component's root, its smallest node, and
+        ``ground`` indexes the kept rows and columns: ``[1:, 1:]`` on a
+        connected graph.  C is the Cholesky factor of the grounded
+        unit-weight Laplacian L1_g and A = C^{-1} L_g C^{-T}.
         """
-        _, labels = connected_components(self)
-        keep = np.ones(self.node_count, dtype=bool)
-        keep[np.unique(labels, return_index=True)[1]] = False
+        count, _, _, roots = self._bfs
+        if count == 1:
+            ground = (slice(1, None), slice(1, None))
+        else:
+            keep = np.delete(np.arange(self.node_count), roots)
+            ground = np.ix_(keep, keep)
         unit = _laplacian(self.node_count, self.tails, self.heads, np.ones(self.edge_count))
-        unit = unit[np.ix_(keep, keep)]
-        S = np.zeros((unit.shape[0], self.node_count))
-        S[:, keep] = np.linalg.inv(np.linalg.cholesky(unit))
-        return S, S @ laplacian(self) @ S.T
+        Cinv = np.linalg.inv(np.linalg.cholesky(unit[ground]))
+        return Cinv, Cinv @ laplacian(self)[ground] @ Cinv.T, ground
 
     @cached_property
     def grounded_eigvals(self) -> np.ndarray:
@@ -155,7 +206,10 @@ class WeightedGraph:
         the weights, on a tree, and lie in [w_min, w_max] on any positive
         graph, so a zero cut on them does not tighten as the graph grows.
         """
-        return np.linalg.eigvalsh(self._pencil[1])
+        A = self._pencil[1]
+        if "grounded_inverse" in self.__dict__:
+            del self.__dict__["_pencil"]  # nothing else reads it
+        return np.linalg.eigvalsh(A)
 
     @cached_property
     def grounded_inverse(self) -> np.ndarray:
@@ -166,8 +220,14 @@ class WeightedGraph:
         within one component.  Callers test the pencil's eigenvalues for
         singularity first.
         """
-        S, A = self._pencil
-        return S.T @ np.linalg.solve(A, S)
+        Cinv, A, ground = self._pencil
+        if "grounded_eigvals" in self.__dict__:
+            del self.__dict__["_pencil"]  # nothing else reads it
+        X = np.linalg.solve(A, Cinv)
+        del A
+        G = np.zeros((self.node_count, self.node_count))
+        G[ground] = Cinv.T @ X
+        return G
 
 
 @dataclass(frozen=True)
@@ -287,25 +347,14 @@ def edge_laplacian(g: WeightedGraph) -> np.ndarray:
     return (s[:, None] * (E.T @ E)) * s[None, :]
 
 
-def _adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
-    # neighbor lists sorted by neighbor index so traversals are deterministic
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for k, (tail, head, _) in enumerate(g.edges):
-        adj[tail].append((head, k))
-        adj[head].append((tail, k))
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def connected_components(g: WeightedGraph) -> tuple[int, np.ndarray]:
-    """Component count and a label per node.
+    """Component count and a label per node (one read-only array per graph).
 
     Labels are assigned in order of each component's smallest node, so the
     labeling is deterministic.
     """
-    count, labels, _ = g._bfs
-    return count, np.array(labels, dtype=int)
+    count, labels, _, _ = g._bfs
+    return count, labels
 
 
 def component_indicators(g: WeightedGraph, normalized: bool = False) -> np.ndarray:
@@ -327,7 +376,7 @@ def spanning_forest(g: WeightedGraph) -> ForestDecomposition:
     is the unweighted edge Laplacian of the forest, and R carries the identity
     on forest columns and T on cycle columns (in original edge positions).
     """
-    component_count, _, in_forest = g._bfs
+    component_count, _, in_forest, _ = g._bfs
     forest = tuple(k for k in range(g.edge_count) if in_forest[k])
     cycle = tuple(k for k in range(g.edge_count) if not in_forest[k])
 
@@ -437,18 +486,37 @@ def negative_cut_components(g: WeightedGraph) -> tuple[bool, tuple[int, ...]]:
     return True, cut
 
 
-def _edge_blocks(g: WeightedGraph) -> list[int]:
+class _BlockTree(NamedTuple):
+    """Block-cut tree of a graph.
+
+    ``members`` lists the edges of each block, labeled as in
+    ``_edge_blocks``.  The tree's nodes are the graph's nodes ``0..n-1`` and
+    block b as ``n + b``: a node hangs from the block of its depth-first
+    tree edge, a block from the node it leaves.  ``up`` is each tree node's
+    parent (-1 at a component's root) and ``depth`` its distance from that
+    root.
+    """
+
+    members: dict[int, list[int]]
+    up: list[int]
+    depth: list[int]
+
+
+def _edge_blocks(g: WeightedGraph) -> tuple[list[int], list[int], list[int]]:
     """Biconnected-block label per edge (Hopcroft & Tarjan 1973), O(n + m).
 
     Two edges share a label iff some simple cycle passes through both; a
-    block is labeled by its first tree edge.  The depth-first search keeps
-    its own stack, because a path graph is as deep as it has nodes.
-    Parallel edges are told apart by index.
+    block is labeled by its first tree edge.  Also returns each node's tree
+    edge (-1 at a root) and the nodes in discovery order.  The depth-first
+    search keeps its own stack, because a path graph is as deep as it has
+    nodes.  Parallel edges are told apart by index.
     """
-    adj = _adjacency(g)
+    adj = g._adj
     disc = [-1] * g.node_count
     low = [0] * g.node_count
     block = [-1] * g.edge_count
+    tree_edge = [-1] * g.node_count
+    order: list[int] = []
     pending: list[int] = []  # tree and back edges not yet in a block
     clock = 0
     for root in range(g.node_count):
@@ -456,6 +524,7 @@ def _edge_blocks(g: WeightedGraph) -> list[int]:
             continue
         disc[root] = low[root] = clock
         clock += 1
+        order.append(root)
         stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
             node, via, nbrs, mark = stack[-1]
@@ -465,6 +534,8 @@ def _edge_blocks(g: WeightedGraph) -> list[int]:
                     pending.append(k)
                     disc[nbr] = low[nbr] = clock
                     clock += 1
+                    tree_edge[nbr] = k
+                    order.append(nbr)
                     break
                 if k != via and disc[nbr] < disc[node]:  # back edge to an ancestor
                     pending.append(k)
@@ -478,25 +549,71 @@ def _edge_blocks(g: WeightedGraph) -> list[int]:
                         for k in pending[mark:]:
                             block[k] = via
                         del pending[mark:]
-    return block
+    return block, tree_edge, order
+
+
+def _block_cut_tree(g: WeightedGraph) -> _BlockTree:
+    """The graph's block search arranged as its block-cut tree."""
+    block, tree_edge, order = g._blocks
+    n = g.node_count
+    up = [-1] * (n + g.edge_count)
+    depth = [0] * (n + g.edge_count)
+    for node in order:  # the node a block hangs from is discovered before its others
+        k = tree_edge[node]
+        if k < 0:
+            continue
+        b = block[k]
+        if up[n + b] < 0:
+            tail, head, _ = g.edges[b]
+            top = tail if tree_edge[head] == b else head
+            up[n + b] = top
+            depth[n + b] = depth[top] + 1
+        up[node] = n + b
+        depth[node] = depth[n + b] + 1
+    members: dict[int, list[int]] = {}
+    for k, b in enumerate(block):
+        members.setdefault(b, []).append(k)
+    return _BlockTree(members, up, depth)
+
+
+def _path_blocks(g: WeightedGraph, u: int, v: int) -> set[int]:
+    """Labels of the blocks on the block-cut-tree path from u to v.
+
+    Their edges are the edges on simple u-v paths: the path enters and
+    leaves each such block at two distinct nodes, and in a biconnected
+    block every edge lies on a simple path between any two of its nodes.
+    Empty when u and v lie in different components.
+    """
+    if g._bfs[1][u] != g._bfs[1][v]:
+        return set()
+    tree = g._block_tree
+    up, depth, n = tree.up, tree.depth, g.node_count
+    found = set()
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        u = up[u]
+        if u >= n:
+            found.add(u - n)
+    return found
 
 
 def path_edge_set(g: WeightedGraph, u: int, v: int) -> set[int]:
     """Indices of all edges lying on at least one simple u-v path.
 
-    These are the edges sharing a biconnected block with a virtual u-v edge
-    added to the graph: a simple u-v path plus that edge is a cycle, and any
-    two edges of a block lie on a common cycle.  For an edge (u, v) of the
-    graph this is its own block.  Linear time at any size; empty when u and
-    v sit in different components, where the virtual edge is a bridge.
+    These are the edges of the biconnected blocks on the block-cut-tree
+    path from u to v (equivalently, the edges sharing a block with a
+    virtual u-v edge); for an edge (u, v) of the graph this is its own
+    block.  One linear-time block search per graph, then time proportional
+    to the path and the answer; empty when u and v sit in different
+    components.
     """
     if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
         raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
     if u == v:
         raise GraphConstructionError("path_edge_set endpoints must differ")
-    # built directly: build_graph rejects the pair when (u, v) is an edge
-    block = _edge_blocks(WeightedGraph(g.node_count, g.edges + ((min(u, v), max(u, v), 1.0),)))
-    return {k for k in range(g.edge_count) if block[k] == block[-1]}
+    members = g._block_tree.members
+    return {k for b in _path_blocks(g, u, v) for k in members[b]}
 
 
 def is_balanced(g: WeightedGraph) -> bool:
@@ -509,7 +626,7 @@ def is_balanced(g: WeightedGraph) -> bool:
     """
     if not signed_partition(g).negative_edges:
         return True
-    adj = _adjacency(g)
+    adj = g._adj
     color = [-1] * g.node_count
     for root in range(g.node_count):
         if color[root] >= 0:

@@ -66,8 +66,12 @@ def node_pair_resistance_matrix(
 
 
 def _pair_gram(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(e_a - e_b)^T G (e_a - e_b) over pairs, read from entries of G (symmetrized)."""
-    M = G[np.ix_(a, a)] - G[np.ix_(a, b)] - G[np.ix_(b, a)] + G[np.ix_(b, b)]
+    """(e_a - e_b)^T G (e_a - e_b) over pairs, read from entries of G (symmetrized).
+
+    Takes the rows G[a] and G[b] once, then their columns.
+    """
+    Ga, Gb = G[a], G[b]
+    M = Ga[:, a] - Ga[:, b] - Gb[:, a] + Gb[:, b]
     return 0.5 * (M + M.T)
 
 

@@ -195,20 +195,33 @@ def _validated_inverse(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -
 
 
 def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
-    """Per-edge resistances G_tt + G_hh - 2 G_th and sigma_bar(M11(0)).
+    """Per-edge resistances G_tt + G_hh - 2 G_th (read-only) and sigma_bar(M11(0)).
 
-    sigma_bar is 1/lam_min when E_delta is every edge (B B^T = L1, so
-    M11(0) shares its nonzero spectrum with Lambda^{-1}), the top eigenvalue
-    of the |E_delta|-square Gram when |E_delta| <= n - 1, and otherwise that
-    of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
+    Kept on the graph per uncertain-edge set and ``tol``, so the margins
+    and the sector check on one set share them.  sigma_bar is 1/lam_min when
+    E_delta is every edge (B B^T = L1, so M11(0) shares its nonzero spectrum
+    with Lambda^{-1}), the edge's resistance when E_delta is one edge, the
+    top eigenvalue of the |E_delta|-square Gram when |E_delta| <= n - 1,
+    and otherwise that of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
     """
+    key = ("gains", spec.uncertain_edges, tol)
+    gains = g._memo.get(key)
+    if gains is None:
+        gains = g._memo[key] = _compute_gains(g, spec, tol)
+    return gains
+
+
+def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
     G = _validated_inverse(g, spec, tol)
     k = list(spec.uncertain_edges)
     t, h = g.tails[k], g.heads[k]
     r = G[t, t] - G[t, h] - G[h, t] + G[h, h]
+    r.flags.writeable = False
     lam = g.grounded_eigvals
     if len(k) == g.edge_count:
         return r, 1.0 / float(lam[0])
+    if len(k) == 1:
+        return r, float(r[0])  # the 1 x 1 Gram is r itself
     if len(k) <= lam.size:
         return r, float(np.linalg.eigvalsh(rs._pair_gram(G, t, h))[-1])
     K = np.linalg.cholesky(G[1:, 1:])  # connected: node 0 is the grounded one
@@ -252,10 +265,10 @@ def m11_frequency_response(
 
 def _bounds(g: gr.WeightedGraph, spec: UncertaintySpec, r: np.ndarray, sigma: float) -> SandwichBounds:
     return SandwichBounds(
-        inv_max_weight=1.0 / float(np.max(g.weights[list(spec.uncertain_edges)])),
-        max_edge_resistance=float(np.max(r)),
+        inv_max_weight=1.0 / float(g.weights[list(spec.uncertain_edges)].max()),
+        max_edge_resistance=float(r.max()),
         sigma_bar_m11=sigma,
-        r_total=float(np.sum(r)),
+        r_total=float(r.sum()),
     )
 
 
@@ -347,7 +360,7 @@ def disjoint_paths_margin(
     """
     _require_nominal_stability(g, tol)
     _validate_edges(g, spec.uncertain_edges)
-    block = gr._edge_blocks(g)
+    block, _, _ = g._blocks
     keys = spec.uncertain_edges
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:

@@ -38,8 +38,8 @@ STABLE = "stable_agreement"
 MARGINAL = "marginal"
 UNSTABLE = "unstable"
 
-# slack applied to the total-resistance comparison so the documented
-# boundary case (sum exactly equal to the required total) passes
+# relative slack applied to the total-resistance comparison so the documented
+# boundary case (sum exactly equal to the required total) passes at any scale
 _BOUNDARY_SLACK = 1e-9
 
 
@@ -66,8 +66,17 @@ def classify_stability(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Stab
     eigenvalues, so they never interact with the zero threshold; they are
     appended exactly.  The zero threshold is applied to the eigenvalues of
     the pencil against the unit-weight grounded Laplacian, which do not
-    shrink as the graph grows (on a tree they are the weights).
+    shrink as the graph grows (on a tree they are the weights).  The
+    verdict is kept on the graph per ``tol``.
     """
+    key = ("verdict", tol)
+    verdict = g._memo.get(key)
+    if verdict is None:
+        verdict = g._memo[key] = _classify(g, tol)
+    return verdict
+
+
+def _classify(g: gr.WeightedGraph, tol: float) -> StabilityVerdict:
     lam = g.grounded_eigvals
     ess = sp._eigval_signature(lam, tol)
     sig = sp.Signature(ess.n_plus, ess.n_minus, ess.n_zero + g.node_count - lam.size)
@@ -87,21 +96,19 @@ def lmi_psd_check(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> bool:
     by structure, so no eigensolve runs.  Agrees with
     ``classify_stability``'s n_minus == 0 for every signed graph.
     """
-    part = gr.signed_partition(g)
-    if not part.negative_edges:
+    neg = list(gr.signed_partition(g).negative_edges)
+    if not neg:
         return True
-    E = gr.incidence_matrix(g)
-    En = E[:, list(part.negative_edges)]
-    wn = np.abs(g.weights[list(part.negative_edges)])
-    Lp = gr.laplacian(gr.positive_subgraph(g))
-    d = len(part.negative_edges)
-    n = g.node_count
-    M = np.zeros((d + n, d + n))
-    M[:d, :d] = np.diag(1.0 / wn)
-    M[:d, d:] = En.T
-    M[d:, :d] = En
-    M[d:, d:] = Lp
-    return sp.is_psd(M, tol)
+    d = len(neg)
+    rows = np.arange(d)
+    tails, heads = d + g.tails[neg], d + g.heads[neg]
+    M = np.zeros((d + g.node_count, d + g.node_count))
+    M[rows, rows] = 1.0 / np.abs(g.weights[neg])
+    M[rows, tails] = M[tails, rows] = 1.0
+    M[rows, heads] = M[heads, rows] = -1.0
+    M[d:, d:] = gr.laplacian(gr.positive_subgraph(g))
+    # symmetric by construction, so no symmetrized copy
+    return sp._eigval_signature(np.linalg.eigvalsh(M), tol).n_minus == 0
 
 
 def negative_cut_verdict(g: gr.WeightedGraph) -> str:
@@ -158,9 +165,10 @@ def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
     """Independent magnitude thresholds for several negative edges.
 
     Requires the positive subgraph to be connected.  Each negative edge's
-    path support is read from the biconnected blocks of the positive
-    subgraph plus that edge, at any size; thresholds are only valid when
-    those supports are pairwise disjoint.
+    path support is the set of blocks on its endpoints' block-cut-tree path
+    in the positive subgraph, whose block search runs once per graph, at
+    any size; thresholds are only valid when those supports are pairwise
+    disjoint.
     """
     part = gr.signed_partition(g)
     if not part.negative_edges:
@@ -171,12 +179,18 @@ def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
         raise DisconnectedGraphError(
             "multi_negative_edge_thresholds requires a connected positive subgraph"
         )
+    # blocks partition the edges, so two supports overlap iff they share a
+    # block; the first overlapping pair in key order is then the least
+    # (first, second) pair of positions holding one block
     keys = part.negative_edges
-    supports = {k: gr.path_edge_set(plus, g.edges[k][0], g.edges[k][1]) for k in keys}
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            if supports[a] & supports[b]:
-                return MultiEdgeThresholds(False, None, (a, b))
+    holders: dict[int, list[int]] = {}
+    for i, k in enumerate(keys):
+        for b in gr._path_blocks(plus, *g.edges[k][:2]):
+            holders.setdefault(b, []).append(i)
+    shared = [pos[:2] for pos in holders.values() if len(pos) > 1]
+    if shared:
+        i, j = min(shared)
+        return MultiEdgeThresholds(False, None, (keys[i], keys[j]))
     diag = np.diag(g._negative_resistances)
     thresholds = {k: 1.0 / float(r) for k, r in zip(part.negative_edges, diag)}
     return MultiEdgeThresholds(True, thresholds)
@@ -202,4 +216,4 @@ def total_resistance_necessary_check(g: gr.WeightedGraph) -> bool:
         )
     r_total = float(np.trace(g._negative_resistances))
     capacity = float(np.sum(1.0 / np.abs(g.weights[list(part.negative_edges)])))
-    return capacity >= r_total - _BOUNDARY_SLACK * max(1.0, abs(r_total))
+    return capacity >= r_total * (1.0 - _BOUNDARY_SLACK)

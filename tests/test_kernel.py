@@ -331,6 +331,122 @@ def test_analysis_never_touches_edge_form(monkeypatch, tmp_path, capsys):
             sector_stability_check(h, spec, sectors)
 
 
+def analyze_everything(g, tol=sp.DEFAULT_TOL):
+    """Every analysis entry point on one graph: the CLI report, the
+    negative-edge certificates, path supports and, on a stable graph, the
+    five margin functions on the all-edge set, two one-edge sets and a
+    two-edge set."""
+    cli._analysis_document(g, tol)
+    classify_stability(g, tol)
+    lmi_psd_check(g, tol)
+    negative_cut_verdict(g)
+    plus = gr.positive_subgraph(g)
+    if gr.connected_components(plus)[0] == 1:
+        multi_negative_edge_thresholds(g)
+        total_resistance_necessary_check(g)
+    gr.path_edge_set(g, 0, g.node_count - 1)
+    gr.path_edge_set(plus, 0, g.node_count - 1)
+    if classify_stability(g, tol).classification != "stable_agreement":
+        return
+    pair = UncertaintySpec((0, g.edge_count - 1))
+    worst_single_edge(g, tol)
+    small_gain_margin(g, UncertaintySpec(tuple(range(g.edge_count))), tol)
+    small_gain_margin(g, UncertaintySpec((1,)), tol)
+    single_edge_margin(g, 2, tol)
+    small_gain_margin(g, pair, tol)
+    try:
+        disjoint_paths_margin(g, pair, tol)
+    except NotApplicableError:
+        pass
+    sector_stability_check(g, pair, SectorSpec(((-0.1, 0.4), (-0.1, 0.4))), tol)
+    m11_at_zero(g, pair, tol)
+
+
+def guard_graphs():
+    """Stable graphs: a chain of 8 unit triangles, the same with edges 0 and
+    23 at -0.3 (disjoint supports), and a unit 4-cycle whose two chords are at
+    -0.1 (overlapping supports)."""
+    chain = triangle_chain(8)
+    signed = build_graph(chain.node_count, [(u, v, -0.3 if k in (0, 23) else w)
+                                            for k, (u, v, w) in enumerate(chain.edges)])
+    chords = build_graph(4, [(0, 1, 1.0), (0, 2, -0.1), (0, 3, 1.0),
+                             (1, 2, 1.0), (1, 3, -0.1), (2, 3, 1.0)])
+    return [chain, signed, chords]
+
+
+def count_property(monkeypatch, name):
+    """Count computations of a cached ``WeightedGraph`` property, per graph."""
+    prop = gr.WeightedGraph.__dict__[name]
+    counts = {}
+
+    def counted(g, original=prop.func):
+        counts[id(g)] = counts.get(id(g), 0) + 1
+        return original(g)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return counts
+
+
+def test_one_pencil_and_one_eigensolve_per_graph(monkeypatch):
+    pencils = count_property(monkeypatch, "_pencil")
+    eigvals = count_property(monkeypatch, "grounded_eigvals")
+    for g in guard_graphs():
+        pencils.clear()
+        eigvals.clear()
+        analyze_everything(g)
+        analyze_everything(g)
+        plus = gr.positive_subgraph(g)
+        expected = {id(g): 1} if plus is g else {id(g): 1, id(plus): 1}
+        assert pencils == expected
+        assert eigvals == expected
+        assert "_pencil" not in g.__dict__  # both kernel properties exist
+
+
+def test_one_edge_gain_needs_no_eigensolve(monkeypatch):
+    g = triangle_chain(6)
+    classify_stability(g)  # the pencil's own eigensolve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh called for a one-edge uncertain set")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    for k in range(g.edge_count):
+        spec = UncertaintySpec((k,))
+        single_edge_margin(g, k)
+        small_gain_margin(g, spec)
+        disjoint_paths_margin(g, spec)
+        sector_stability_check(g, spec, SectorSpec(((-0.1, 0.4),)))
+
+
+def test_one_signature_per_graph_and_tol(monkeypatch):
+    calls = []
+    original = sp._eigval_signature
+    monkeypatch.setattr(sp, "_eigval_signature", lambda lam, tol: calls.append(tol) or original(lam, tol))
+    g = triangle_chain(6)
+    pair = UncertaintySpec((0, 17))
+    for tol in (sp.DEFAULT_TOL, 1e-6, sp.DEFAULT_TOL, 1e-6):
+        worst_single_edge(g, tol)
+        small_gain_margin(g, pair, tol)
+        single_edge_margin(g, 3, tol)
+        disjoint_paths_margin(g, pair, tol)
+        sector_stability_check(g, pair, SectorSpec(((-0.1, 0.4), (-0.1, 0.4))), tol)
+    assert calls == [sp.DEFAULT_TOL, 1e-6]
+
+
+@pytest.mark.parametrize("d", [1, 10, 40])
+def test_one_block_search_per_positive_subgraph(monkeypatch, d):
+    calls = []
+    original = gr._edge_blocks
+    monkeypatch.setattr(gr, "_edge_blocks", lambda g: calls.append(g) or original(g))
+    chain = triangle_chain(40)
+    g = build_graph(chain.node_count, [(u, v, -0.2 if k % 3 == 0 and k < 3 * d else w)
+                                       for k, (u, v, w) in enumerate(chain.edges)])
+    for _ in range(2):
+        res = multi_negative_edge_thresholds(g)
+        assert res.applicable and len(res.thresholds) == d
+    assert calls == [gr.positive_subgraph(g)]
+
+
 def test_margins_never_form_an_n_by_m_channel():
     """Peak traced memory of the all-edge margins stays below half of one (n-1) x m array."""
     n = 400
@@ -350,33 +466,33 @@ def test_margins_never_form_an_n_by_m_channel():
 
 def test_analyzed_graphs_are_freed_by_reference_counting():
     """No per-graph cache refers back to its graph, so its n x n arrays go with it."""
+    caches = {"tails", "heads", "weights", "_adj", "_bfs", "_blocks", "_block_tree", "_signs",
+              "_memo", "grounded_eigvals", "grounded_inverse"}
+    signed_caches = {"_positive", "_negative_resistances"}
 
     def analyze(g):
-        # the same calls on both graphs; edges 0 and 23 lie in distinct blocks
-        cli._analysis_document(g, sp.DEFAULT_TOL)
-        gr.positive_subgraph(g)
-        every_edge = UncertaintySpec(tuple(range(g.edge_count)))
-        pair = UncertaintySpec((0, 23))
-        worst_single_edge(g)
-        small_gain_margin(g, every_edge)
-        small_gain_margin(g, pair)
-        single_edge_margin(g, 5)
-        disjoint_paths_margin(g, pair)
-        sector_stability_check(g, pair, SectorSpec(((-0.1, 0.4), (-0.1, 0.4))))
-        m11_at_zero(g, every_edge)
-        return weakref.ref(g)
+        # every analysis at two zero thresholds, so each cache is filled
+        analyze_everything(g)
+        analyze_everything(g, 1e-6)
+        plus = gr.positive_subgraph(g)
+        if plus is g:
+            assert caches <= set(g.__dict__)
+        else:
+            assert caches | signed_caches <= set(g.__dict__)
+            assert {"_adj", "_bfs", "_blocks", "_block_tree", "grounded_eigvals",
+                    "grounded_inverse"} <= set(plus.__dict__)
+        assert "_pencil" not in g.__dict__
+        memo_keys = {key[0] for key in g._memo}
+        assert memo_keys == {"verdict", "gains"}
+        return weakref.ref(g), weakref.ref(plus)
 
-    chain = triangle_chain(8)
-    signed = build_graph(chain.node_count, [(u, v, -0.3 if k in (0, 23) else w)
-                                            for k, (u, v, w) in enumerate(chain.edges)])
-    assert classify_stability(signed).classification == "stable_agreement"
-    graphs = [chain, signed]
-    del chain, signed
+    graphs = guard_graphs()
+    assert [classify_stability(g).classification for g in graphs] == ["stable_agreement"] * 3
     gc.collect()
     gc.disable()
     try:
         while graphs:
-            ref = analyze(graphs.pop())
-            assert ref() is None
+            refs = analyze(graphs.pop())
+            assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

@@ -260,6 +260,26 @@ def test_total_resistance_check_boundary_and_direction():
     assert total_resistance_necessary_check(ok)
 
 
+def test_total_resistance_check_is_scale_free():
+    # the same graphs with every weight scaled by s give the same answer
+    def scaled(g, s):
+        return build_graph(g.node_count, [(u, v, s * w) for u, v, w in g.edges])
+
+    graphs = [
+        build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)]),  # fails: 1 < 2
+        build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.5)]),  # boundary: 2 == 2
+    ]
+    rng = np.random.default_rng(271)
+    while len(graphs) < 80:
+        g = random_signed(rng, neg_prob=0.3)
+        if signed_partition(g).negative_edges and connected_components(positive_subgraph(g))[0] == 1:
+            graphs.append(g)
+    answers = [total_resistance_necessary_check(g) for g in graphs]
+    assert answers[:2] == [False, True] and set(answers) == {True, False}
+    for s in (1e-9, 1e-3, 1e3, 1e9, 1e12):
+        assert [total_resistance_necessary_check(scaled(g, s)) for g in graphs] == answers
+
+
 def test_total_resistance_check_is_necessary():
     # stable (PSD) network never fails the check
     rng = np.random.default_rng(83)
