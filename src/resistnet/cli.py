@@ -3,10 +3,9 @@
 Exit codes: 0 on success (including stable analytic verdicts), 2 for
 analytic negative outcomes (unstable network, uncertified sector, diverged
 simulation, unmet reproduction expectations), 1 for usage and input errors.
-Reports print floats at 12 significant digits; trajectory files carry 17.
-A JSON report is written in one walk of the document that rounds each float
-as it goes, laid out as ``json.dumps(..., indent=2, sort_keys=True)`` would.
-All output is deterministic for fixed inputs.
+Reports print floats at 12 significant digits (``_jsontext`` writes the
+JSON ones); trajectory files carry 17.  All output is deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import functools
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from . import robustness as rb
 from . import simulation as sim
 from . import spectral as sp
 from . import stability as st
+from ._jsontext import _json_text
 from .errors import (
     DisconnectedGraphError,
     GenerationError,
@@ -57,42 +56,6 @@ _MARGIN_NOTE = (
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """JSON text of a report in one walk: floats at 12 significant digits.
-
-    The layout is ``json.dumps(..., indent=2, sort_keys=True)``'s (keys
-    sorted, non-ASCII escaped, NaN and infinities as ``NaN``/``Infinity``),
-    without its pure-Python encoder or a rounded copy of the document.
-    Keys must be strings; any value JSON has no form for raises TypeError.
-    """
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return repr(float(format(obj, ".12g")))
-        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
-        opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        items = [_json_text(v, inner) for v in obj]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _emit_json(doc: dict) -> None:
@@ -524,6 +487,30 @@ def cmd_simulate(args) -> int:
 
 # -------------------------------------------------------------- repro-sec6
 
+# A boundary run lasts 40 time constants of its slowest decaying mode, so its
+# final state lies in L's null space up to e^-40 plus rounding (1e-16 to 1e-14
+# measured); this bound on the residual is relative to 1 + ||x(0)||.
+_NULL_SPACE_RTOL = 1e-9
+
+
+def _ends_in_null_space(traj: sim.Trajectory, p: np.ndarray) -> tuple[bool, float]:
+    """Whether a run at the exact margin of a non-bridge edge ends as theory says.
+
+    The margin adds one null vector to L, the potential p = L+ b_e of the
+    binding edge.  Holds when the final state lies in span{1, p} within
+    ``_NULL_SPACE_RTOL`` and z across the edge (the run's one output) has
+    settled at a nonzero constant: its final value differs from the one
+    halfway through by at most the cluster tolerance and from zero by more.
+    Also returns the residual (max-norm distance from that span).
+    """
+    x = traj.states[-1]
+    basis = np.column_stack((np.ones_like(p), p))
+    residual = float(np.abs(x - basis @ np.linalg.lstsq(basis, x, rcond=None)[0]).max())
+    z = traj.outputs[:, 0]
+    settled = abs(z[-1] - z[len(z) // 2]) <= sim.CLUSTER_TOL < abs(z[-1])
+    bound = _NULL_SPACE_RTOL * (1.0 + float(np.abs(traj.states[0]).max()))
+    return bool(residual <= bound and settled), residual
+
 
 def cmd_repro_sec6(args) -> int:
     if args.n < 2:
@@ -573,6 +560,13 @@ def cmd_repro_sec6(args) -> int:
     t_boundary = max(20.0, 40.0 / float(ev_boundary[2])) if g.node_count > 2 else 60.0
     traj_boundary = run_linear("boundary.csv", {k_bind: -margin}, t_boundary)
     clusters = sim.detect_clusters(traj_boundary.states[-1])
+    # the extra null vector L+ b_e takes two values only across a bridge
+    bridge = gr.path_edge_set(g, u, v) == {k_bind}
+    if bridge:
+        boundary_key, boundary_ok = "boundary_two_clusters", len(clusters) == 2
+    else:
+        boundary_key = "boundary_null_space"
+        boundary_ok, null_residual = _ends_in_null_space(traj_boundary, Lp[:, u] - Lp[:, v])
 
     w_pert[k_bind] = w_bind - 1.001 * margin
     lam_neg = float(np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert)))[0])
@@ -610,7 +604,7 @@ def cmd_repro_sec6(args) -> int:
     expectations = {
         "nominal_stable": verdict.classification == st.STABLE and not traj_nominal.diverged,
         "binding_matches_scan": binding_matches_scan,
-        "boundary_two_clusters": len(clusters) == 2,
+        boundary_key: boundary_ok,
         "beyond_diverged": traj_beyond.diverged,
         "sector_certified": sector_result.stable,
         "nonlinear_stable_converged": nl_stable_converged,
@@ -655,6 +649,8 @@ def cmd_repro_sec6(args) -> int:
             "beyond.csv", "nonlinear_stable.csv", "nonlinear_unstable.csv",
         )),
     }
+    if not bridge:
+        doc["runs"]["boundary"]["null_space_residual"] = null_residual
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(_json_text(doc) + "\n")
 
@@ -668,8 +664,13 @@ def cmd_repro_sec6(args) -> int:
               f"resistance {_fmt(1.0 / margin)}")
         print(f"margin: {_fmt(margin)}")
         print(f"argmax cross-check: {'agree' if binding_matches_scan else f'DISAGREE (scan says {scan_edge})'}")
-        print(f"boundary run: {len(clusters)} clusters (sizes {[len(c) for c in clusters]}); "
-              f"z across binding edge -> {_fmt(traj_boundary.outputs[-1][0])}")
+        if bridge:
+            print(f"boundary run: {len(clusters)} clusters (sizes {[len(c) for c in clusters]}); "
+                  f"z across binding edge -> {_fmt(traj_boundary.outputs[-1][0])}")
+        else:
+            print(f"boundary run (binding edge is no bridge): final state {_fmt(null_residual)} "
+                  f"from span{{1, L+ b_e}}; z across binding edge -> "
+                  f"{_fmt(traj_boundary.outputs[-1][0])}")
         beyond_at = traj_beyond.diverged_at
         print("beyond run (1.001x margin): "
               + (f"diverged at t = {_fmt(beyond_at)}" if traj_beyond.diverged else "did not diverge"))

@@ -34,6 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -270,9 +271,26 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
     GraphConstructionError
         On out-of-range endpoints, self-loops, duplicate node pairs, or
         non-finite / zero weights.  Messages name the offending edge.
+
+    A list of at least ``_COLUMN_MIN_EDGES`` ``(int, int, int or float)``
+    tuples or lists is checked and built by whole-array operations
+    (``_graph_from_columns``).  The per-edge loop runs when those checks
+    fail, to name the first bad edge, for other endpoint and weight types
+    (``np.integer`` endpoints, say), and for shorter lists, where it is the
+    faster of the two.
     """
     if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)) or node_count < 1:
         raise GraphConstructionError(f"node_count must be a positive integer, got {node_count!r}")
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    if (
+        len(edges) >= _COLUMN_MIN_EDGES
+        and set(map(type, edges)) <= {tuple, list}
+        and set(map(len, edges)) == {3}
+    ):
+        g = _graph_from_columns(int(node_count), *zip(*edges))
+        if g is not None:
+            return g
     canon: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for k, edge in enumerate(edges):
@@ -307,6 +325,49 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
         seen.add((tail, head))
         canon.append((tail, head, w))
     return WeightedGraph(int(node_count), tuple(canon))
+
+
+def _graph_from_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> WeightedGraph | None:
+    """The graph of endpoint and weight columns that pass whole-array
+    checks, with its ``tails``/``heads``/``weights`` arrays already set;
+    None when any check fails.
+
+    Accepts ``int`` endpoints in ``[0, n)`` and ``int``/``float`` weights
+    that are finite and nonzero, with no self-loop and no node pair twice
+    (found by sorting ``tail * n + head``).  The values are those of the
+    per-edge loop: ``float(w)`` and numpy's int-to-float conversion both
+    round correctly.
+    """
+    if not ({*map(type, us), *map(type, vs)} <= {int} and set(map(type, ws)) <= {int, float}):
+        return None
+    try:
+        u, v = np.array(us, dtype=int), np.array(vs, dtype=int)
+        weights = np.array(ws, dtype=float)
+    except OverflowError:  # an endpoint beyond int64 or an int weight beyond the float range
+        return None
+    tails, heads = np.minimum(u, v), np.maximum(u, v)
+    if tails.min() < 0 or heads.max() >= n or n > _MAX_KEYED_NODES:
+        return None
+    keys = tails * n + heads
+    keys.sort()
+    if (
+        (tails == heads).any()
+        or not np.isfinite(weights).all()
+        or not weights.all()
+        or (keys[1:] == keys[:-1]).any()
+    ):
+        return None
+    g = WeightedGraph(n, tuple(zip(tails.tolist(), heads.tolist(), weights.tolist())))
+    g.__dict__.update(tails=tails, heads=heads, weights=weights)  # the cached properties' values
+    return g
+
+
+# Edge lists shorter than this are built by the per-edge loop: the ~20
+# numpy calls of ``_graph_from_columns`` cost more than the loop below about
+# 30 edges (about 20 against 17 microseconds at 14 edges on a 2-core host).
+_COLUMN_MIN_EDGES = 32
+# largest node count whose pair keys tail * n + head fit in int64
+_MAX_KEYED_NODES = math.isqrt(2 ** 63 - 1)
 
 
 def incidence_matrix(g: WeightedGraph) -> np.ndarray:
@@ -661,6 +722,15 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError("field 'edges' must be a list of {u, v, w} objects")
+    if nodes >= 1 and len(raw_edges) >= _COLUMN_MIN_EDGES and set(map(type, raw_edges)) == {dict}:
+        try:
+            columns = [list(map(itemgetter(f), raw_edges)) for f in "uvw"]
+        except KeyError:
+            pass
+        else:
+            g = _graph_from_columns(nodes, *columns)
+            if g is not None:
+                return g
     triples = _edge_triples(raw_edges)
     try:
         return build_graph(nodes, triples)
@@ -669,20 +739,8 @@ def graph_from_dict(data: dict) -> WeightedGraph:
 
 
 def _edge_triples(raw_edges: list) -> list:
-    """``(u, v, w)`` per ``{u, v, w}`` item, in order.
-
-    Whole-list type checks accept a well-formed list; only otherwise does
-    the per-item loop run, to name the first bad item.  ``build_graph``
-    turns each weight into a float.
-    """
-    if set(map(type, raw_edges)) <= {dict}:
-        try:
-            us, vs, ws = ([item[f] for item in raw_edges] for f in "uvw")
-        except KeyError:
-            pass
-        else:
-            if {*map(type, us), *map(type, vs)} <= {int} and set(map(type, ws)) <= {int, float}:
-                return list(zip(us, vs, ws))
+    """``(u, v, float(w))`` per ``{u, v, w}`` item, in order; names the
+    first bad item.  Runs for the lists the whole-array path does not take."""
     triples = []
     for k, item in enumerate(raw_edges):
         if not isinstance(item, dict):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class UncertaintySpec:
     bound: float = 0.0
 
     def __post_init__(self):
-        edges = tuple(sorted(int(k) for k in self.uncertain_edges))
+        edges = tuple(sorted(map(int, self.uncertain_edges)))
         if not edges:
             raise GraphConstructionError("UncertaintySpec needs at least one uncertain edge")
         if len(set(edges)) != len(edges):
@@ -169,12 +169,13 @@ class SectorCheckResult:
     proof_form_disagrees: bool
 
 
-def _validate_edges(g: gr.WeightedGraph, edges: Sequence[int]) -> None:
-    for k in edges:
-        if not (0 <= k < g.edge_count):
-            raise GraphConstructionError(
-                f"uncertain edge index {k} out of range for {g.edge_count} edges"
-            )
+def _validate_edges(g: gr.WeightedGraph, spec: UncertaintySpec) -> None:
+    """The spec's edges are ascending, so only its ends can be out of range;
+    the error names the first edge that is."""
+    edges, m = spec.uncertain_edges, g.edge_count
+    if edges[0] < 0 or edges[-1] >= m:
+        k = edges[0] if edges[0] < 0 else next(k for k in edges if k >= m)
+        raise GraphConstructionError(f"uncertain edge index {k} out of range for {m} edges")
 
 
 def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
@@ -190,7 +191,7 @@ def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
 
 def _validated_inverse(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> np.ndarray:
     _require_nominal_stability(g, tol)
-    _validate_edges(g, spec.uncertain_edges)
+    _validate_edges(g, spec)
     return g.grounded_inverse
 
 
@@ -211,21 +212,28 @@ def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.n
     return gains
 
 
+def _edge_index(g: gr.WeightedGraph, spec: UncertaintySpec) -> slice | np.ndarray:
+    """Index of the spec's edges into the graph's edge arrays: every edge
+    (distinct and in range) is the whole array, read without a gather."""
+    edges = spec.uncertain_edges
+    return slice(None) if len(edges) == g.edge_count else np.array(edges)
+
+
 def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
     G = _validated_inverse(g, spec, tol)
-    k = list(spec.uncertain_edges)
+    k = _edge_index(g, spec)
     t, h = g.tails[k], g.heads[k]
     r = G[t, t] - G[t, h] - G[h, t] + G[h, h]
     r.flags.writeable = False
     lam = g.grounded_eigvals
-    if len(k) == g.edge_count:
+    if r.size == g.edge_count:
         return r, 1.0 / float(lam[0])
-    if len(k) == 1:
+    if r.size == 1:
         return r, float(r[0])  # the 1 x 1 Gram is r itself
-    if len(k) <= lam.size:
+    if r.size <= lam.size:
         return r, float(np.linalg.eigvalsh(rs._pair_gram(G, t, h))[-1])
     K = np.linalg.cholesky(G[1:, 1:])  # connected: node 0 is the grounded one
-    L_delta = gr._laplacian(g.node_count, t, h, np.ones(len(k)))[1:, 1:]
+    L_delta = gr._laplacian(g.node_count, t, h, np.ones(r.size))[1:, 1:]
     return r, float(np.linalg.eigvalsh(K.T @ L_delta @ K)[-1])
 
 
@@ -251,7 +259,7 @@ def m11_frequency_response(
 ) -> np.ndarray:
     """M11(j omega) = P^T R^T (j omega I + L_ess)^{-1} L_e(F) R P (complex)."""
     _require_nominal_stability(g, tol)
-    _validate_edges(g, spec.uncertain_edges)
+    _validate_edges(g, spec)
     f = gr.spanning_forest(g)
     E = gr.incidence_matrix(g)
     EF = E[:, list(f.forest_edges)]
@@ -265,7 +273,7 @@ def m11_frequency_response(
 
 def _bounds(g: gr.WeightedGraph, spec: UncertaintySpec, r: np.ndarray, sigma: float) -> SandwichBounds:
     return SandwichBounds(
-        inv_max_weight=1.0 / float(g.weights[list(spec.uncertain_edges)].max()),
+        inv_max_weight=1.0 / float(g.weights[_edge_index(g, spec)].max()),
         max_edge_resistance=float(r.max()),
         sigma_bar_m11=sigma,
         r_total=float(r.sum()),
@@ -279,24 +287,25 @@ def sandwich_bounds(
     return _bounds(g, spec, *_gains(g, spec, tol))
 
 
-def _binding(per_edge: dict[int, float]) -> int:
-    best = min(per_edge.values())
-    window = best * (1.0 + _TIE_RTOL)
-    return min(k for k, v in per_edge.items() if v <= window)
-
-
 def _report(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float, method: str,
             small_gain: bool) -> MarginReport:
     """Margin report over E_delta; the global margin is 1/sigma_bar when
-    ``small_gain`` and the binding edge's exact margin 1/R_e otherwise."""
+    ``small_gain`` and the binding edge's exact margin 1/R_e otherwise.
+
+    The margins 1/R_e are one array division, bit-equal to ``1.0 / float(R_e)``
+    per edge (IEEE division rounds correctly either way).  The binding edge
+    is the first within the tie window of the smallest margin: the edges are
+    ascending, so that is the lowest index.
+    """
     r, sigma = _gains(g, spec, tol)
-    per_edge = {k: 1.0 / float(x) for k, x in zip(spec.uncertain_edges, r)}
-    binding = _binding(per_edge)
+    margins = 1.0 / r
+    at = int(np.argmax(margins <= margins.min() * (1.0 + _TIE_RTOL)))
+    per_edge = dict(zip(spec.uncertain_edges, margins.tolist()))
     return MarginReport(
-        global_margin=1.0 / sigma if small_gain else per_edge[binding],
+        global_margin=1.0 / sigma if small_gain else float(margins[at]),
         method=method,
         per_edge=per_edge,
-        binding_edge=binding,
+        binding_edge=spec.uncertain_edges[at],
         bounds=_bounds(g, spec, r, sigma),
     )
 
@@ -359,7 +368,7 @@ def disjoint_paths_margin(
     margin.
     """
     _require_nominal_stability(g, tol)
-    _validate_edges(g, spec.uncertain_edges)
+    _validate_edges(g, spec)
     block, _, _ = g._blocks
     keys = spec.uncertain_edges
     for i, a in enumerate(keys):

@@ -375,7 +375,13 @@ def simulate_nonlinear(
             f"couplings for {len(edges)} edges"
         )
     L = gr.laplacian(g)
-    Ed = gr.incidence_matrix(g)[:, edges]
+    # the uncertain edges' incidence columns, scattered from tails and heads
+    # without the n x m matrix; in Fortran order, the layout of the gather
+    # E[:, edges], so a node's couplings sum in that order, bit for bit
+    Ed = np.zeros((g.node_count, len(edges)), order="F")
+    cols = np.arange(len(edges))
+    Ed[g.tails[edges], cols] = 1.0
+    Ed[g.heads[edges], cols] = -1.0
     lam_max = float(np.linalg.eigvalsh(L)[-1])
     _check_step(config.dt, lam_max + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)

@@ -11,7 +11,7 @@ import pytest
 import resistnet
 from conftest import triangle_chain
 from resistnet import build_graph, laplacian, save_graph
-from resistnet import cli
+from resistnet import _jsontext, cli
 from resistnet import resistance as rs
 from resistnet.graph import WeightedGraph
 from resistnet.cli import main
@@ -366,6 +366,53 @@ def test_simulate_automatic_dt(capsys, tmp_path):
         assert json.loads(out)["dt"] == float(format(expected, ".12g"))
 
 
+NO_MASKED_ARRAYS = """
+import contextlib, io, os, sys
+import resistnet as rn
+from resistnet.cli import main
+
+out = sys.argv[1]
+rgg = rn.generate_rgg(60, 0.3, 4)
+signed = rn.build_graph(60, [(u, v, -0.05 if k % 7 == 0 else w) for k, (u, v, w) in enumerate(rgg.edges)])
+triangle = rn.build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.4)])
+paths = []
+for name, g in (("rgg", rgg), ("signed", signed), ("triangle", triangle)):
+    paths.append(os.path.join(out, name + ".json"))
+    rn.save_graph(g, paths[-1])
+runs = [["analyze", p, flag] for p in paths for flag in ("--json", "--tol=1e-9")]
+runs += [["margin", paths[0], "--json"], ["margin", paths[0], "--edges", "set:0,5,9", "--sector=-0.5,0.5"],
+         ["margin", paths[2], "--edges", "single:0"],
+         ["simulate", paths[0], "--duration", "1", "--out", os.path.join(out, "a.csv"), "--json"],
+         ["simulate", paths[0], "--duration", "1", "--perturb", "0=-0.1", "--nonlinear", "1=-0.2,0.1,1",
+          "--out", os.path.join(out, "b.csv")],
+         ["repro-sec6", "--n", "12", "--radius", "0.4", "--seed", "6", "--out", os.path.join(out, "r")]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+for g in (signed, triangle):
+    rn.classify_stability(g), rn.lmi_psd_check(g), rn.negative_cut_verdict(g), rn.is_balanced(g)
+    for check in (rn.multi_negative_edge_thresholds, rn.total_resistance_necessary_check):
+        try:
+            check(g)
+        except rn.ResistNetError:
+            pass
+    rn.effective_resistance(g, 0, 1, method="pseudoinverse")
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_run_imports_numpy_masked_arrays(tmp_path):
+    # numpy.ma is imported lazily (by np.unique, for one); loading it costs
+    # about 1.5 MB of peak memory per process
+    src = os.path.dirname(os.path.dirname(resistnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    codes, masked = done.stdout.rsplit("]", 1)
+    assert all(code in {"0", "2"} for code in codes.strip("[ ").split(", ")), done.stdout
+    assert masked.strip() == "False"
+
+
 def test_parser_reuse_leaks_no_defaults(capsys, tmp_path, triangle_file):
     # one process: repeatable flags, then a usage error, then a plain run;
     # the last report must match a fresh interpreter's
@@ -405,16 +452,79 @@ ENCODER_EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("value", ENCODER_EDGE_CASES)
+ROUNDING_FLOATS = [
+    0.5, 1 / 3, -2.75, 3.0, -7.0, 2.9999999999999, -0.99999999999999, 999999999999.7,
+    123456789012.4, 1e12, 1.5e12, 9.99999999999e14, 1e15, 5e15, 9999999999999998.0, 1e16,
+    1.234e16, 1e-4, 1e-5, 0.000123456789012345, 2.2250738585072014e-308, 1e-300, 1e300,
+    1.7976931348623157e308, 5e-324, 2.5e-320, -0.0, 0.0,
+]
+
+# lists of row dicts: one template per list when every row has the same keys
+# and each key's values are all ints or all floats, the recursive walk otherwise
+ROW_LISTS = [
+    [{"edge": 0, "margin": 0.5}, {"edge": 1, "margin": 1 / 3}, {"edge": 7, "margin": 2.0}],
+    [{"edge": k, "margin": x} for k, x in enumerate(ROUNDING_FLOATS)],
+    [{"edge": k, "margin": -x} for k, x in enumerate(ROUNDING_FLOATS)],
+    [{"threshold": x} for x in (math.nan, 1.5, math.inf, -math.inf)],
+    [{"edge": 3, "margin": 1.5}],
+    [{"a": 1}, {"b": 2}],
+    [{"a": 1, "b": 2.0}, {"a": 1}],
+    [{"a": 1, "b": 2.0}, {"a": 1, "c": 2.0}],
+    [{"a": 1}, {"a": 2, "b": 3.0}],
+    [{"a": [1.5]}, {"a": [2.5]}],
+    [{"a": {"b": 1}}, {"a": {"b": 2}}],
+    [{"flag": True}, {"flag": False}],
+    [{"a": 1}, {"a": True}],
+    [{"a": 1}, {"a": 1.5}],
+    [{"a": None}, {"a": None}],
+    [{"a": "x"}, {"a": "y"}],
+    [{"a": np.float64(2) / 3}, {"a": np.float64(0.5)}],
+    [{"a": 10 ** 30, "b": -0.0}, {"a": -5, "b": 5e-324}],
+    [{"%s": 1.5, "%%d": 2}, {"%s": 2.5, "%%d": 3}],
+    [{"über": 1.5, "z\"q": 1}],
+    [{}],
+    [{}, {}],
+    [{"a": 1}, {}],
+    ({"edge": 0, "margin": 0.5}, {"edge": 1, "margin": 0.25}),
+    [[{"a": 1.5}, {"a": 2.5}], {"rows": [{"b": 1}, {"b": 2}]}],
+]
+
+
+@pytest.mark.parametrize("value", ENCODER_EDGE_CASES + ROW_LISTS)
 def test_report_encoder_matches_json_module(value):
     assert cli._json_text(value) == reference_json(value)
     assert cli._json_text({"value": value, "list": [value, value]}) == \
         reference_json({"value": value, "list": [value, value]})
 
 
+def test_report_encoder_float_columns_match_per_value_rounding():
+    # every float comes out as repr(float(format(v, ".12g"))), whichever way its column goes
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2 ** 63, 4000, dtype=np.uint64) | (rng.integers(0, 2, 4000, dtype=np.uint64) << 63)
+    columns = [
+        bits.view(np.float64).tolist(),  # every exponent, subnormals, NaN and infinities
+        (rng.uniform(-1, 1, 4000) * 10.0 ** rng.integers(-8, 20, 4000)).tolist(),
+        rng.uniform(0.01, 100, 4000).tolist(),
+        np.round(rng.uniform(-1e6, 1e6, 400)).tolist(),
+        ROUNDING_FLOATS,
+        # every value has a "." at 12 digits, so only the exponent or the
+        # subnormal rule sends the column the per-value way
+        [1.5e12, 2.25e13, -3.125e14, 9.87654321e15, 0.5, 1.5e16],
+        [2.5e-320, 0.5, 5e-324],
+        [1.5e-300, 0.25],
+    ]
+    for column in columns:
+        rows = [{"x": x} for x in column]
+        assert _jsontext._row_texts(rows, "") is not None  # one template for the list
+        assert cli._json_text(rows) == reference_json(rows)
+        want = [repr(float(format(x, ".12g"))) for x in column if math.isfinite(x)]
+        assert [t for t, x in zip(_jsontext._column_texts(column), column) if math.isfinite(x)] == want
+
+
 @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object(), b"bytes"])
 def test_report_encoder_rejects_what_the_json_module_rejects(value):
-    for doc in (value, [1.5, value], {"key": {"inner": value}}):
+    for doc in (value, [1.5, value], {"key": {"inner": value}}, [{"a": 1, "b": value}, {"a": 2, "b": 0.5}],
+                [{"a": 1.5}, {"a": value}]):
         with pytest.raises(TypeError) as expected:
             reference_json(doc)
         with pytest.raises(TypeError) as got:
@@ -452,6 +562,67 @@ def test_repro_small_instance_deterministic(capsys, tmp_path):
     assert report["runs"]["beyond"]["diverged"]
     assert report["runs"]["nonlinear_unstable"]["diverged"]
     assert not report["runs"]["nominal"]["diverged"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, radius, seed", [(150, 0.2, 9), (300, 0.15, 9), (40, 0.3, 2)])
+def test_repro_non_bridge_binding_edge_ends_in_null_space(capsys, tmp_path, n, radius, seed):
+    # the extra null vector L+ b_e of a non-bridge binding edge takes many
+    # values, so the boundary run ends in span{1, L+ b_e} instead of two clusters
+    code = main(["repro-sec6", "--n", str(n), "--radius", str(radius), "--seed", str(seed),
+                 "--out", str(tmp_path / "r")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "7/7 hold" in out and "no bridge" in out
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["expectations"]["boundary_null_space"]
+    assert "boundary_two_clusters" not in report["expectations"]
+    boundary = report["runs"]["boundary"]
+    assert boundary["cluster_count"] > 2
+    assert boundary["null_space_residual"] <= 2 * cli._NULL_SPACE_RTOL
+
+
+def boundary_run(n, radius, seed):
+    """The repro-sec6 boundary run on a generated graph, with its null vector L+ b_e."""
+    g = resistnet.generate_rgg(n, radius, seed)
+    worst = resistnet.worst_single_edge(g)
+    u, v, _ = g.edges[worst.binding_edge]
+    Lp = rs._laplacian_pinv(g)
+    dt = cli._auto_dt(float(np.linalg.eigvalsh(laplacian(g))[-1]))
+    config = resistnet.SimulationConfig(duration=100.0, dt=dt, state_seed=seed + 1,
+                                        output_edges=((u, v),), store_every=50)
+    traj = resistnet.simulate_linear(g, {worst.binding_edge: -worst.global_margin}, config)
+    return traj, Lp[:, u] - Lp[:, v]
+
+
+def test_null_space_check_rejects_corrupted_final_states():
+    traj, p = boundary_run(40, 0.3, 2)
+    ok, residual = cli._ends_in_null_space(traj, p)
+    assert ok and residual < 1e-12
+
+    def corrupted(final, outputs=None):
+        states = traj.states.copy()
+        states[-1] = final
+        return resistnet.Trajectory(traj.times, states, traj.outputs if outputs is None else outputs,
+                                    False, None)
+
+    x = traj.states[-1]
+    basis = np.column_stack((np.ones_like(p), p))
+    off = np.random.default_rng(3).normal(size=x.size)
+    off -= basis @ np.linalg.lstsq(basis, off, rcond=None)[0]  # orthogonal to span{1, p}
+    off /= np.abs(off).max()
+    for scale in (1e-3, 1e-6, 1e-8):
+        ok, residual = cli._ends_in_null_space(corrupted(x + scale * off), p)
+        assert not ok and residual > 0.5 * scale
+    # consensus lies in the span, but z across the edge is zero
+    flat = np.full_like(x, x.mean())
+    z = traj.outputs.copy()
+    z[-1] = 0.0
+    assert not cli._ends_in_null_space(corrupted(flat, z), p)[0]
+    # z still moving: its final value differs from the one halfway through
+    z = traj.outputs.copy()
+    z[len(z) // 2] += 1e-2
+    assert not cli._ends_in_null_space(corrupted(x, z), p)[0]
 
 
 @pytest.mark.slow

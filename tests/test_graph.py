@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from resistnet import (
     spanning_forest,
     weighted_cut_matrix,
 )
+from resistnet.graph import WeightedGraph
 
 TRIANGLE = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
@@ -77,6 +79,135 @@ def test_build_graph_rejects_bad_inputs():
 def test_build_graph_error_names_offending_edge():
     with pytest.raises(GraphConstructionError, match="edge 1"):
         build_graph(3, [(0, 1, 1.0), (1, 1, 2.0)])
+
+
+def per_edge_build_graph(node_count, edges):
+    """The per-edge loop that once built every graph; the oracle for ``build_graph``."""
+    if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)) or node_count < 1:
+        raise GraphConstructionError(f"node_count must be a positive integer, got {node_count!r}")
+    canon = []
+    seen = set()
+    for k, edge in enumerate(edges):
+        try:
+            u, v, w = edge
+        except (TypeError, ValueError) as exc:
+            raise GraphConstructionError(f"edge {k}: expected (u, v, w), got {edge!r}") from exc
+        if (isinstance(u, bool) or isinstance(v, bool)
+                or not isinstance(u, (int, np.integer)) or not isinstance(v, (int, np.integer))):
+            raise GraphConstructionError(f"edge {k} ({u!r}, {v!r}): endpoints must be integers")
+        u, v = int(u), int(v)
+        if not (0 <= u < node_count) or not (0 <= v < node_count):
+            raise GraphConstructionError(f"edge {k} ({u}, {v}): endpoint out of range for {node_count} nodes")
+        if u == v:
+            raise GraphConstructionError(f"edge {k} ({u}, {v}): self-loops are not allowed")
+        w = float(w)
+        if not math.isfinite(w):
+            raise GraphConstructionError(f"edge {k} ({u}, {v}): weight {w!r} is not finite")
+        if w == 0.0:
+            raise GraphConstructionError(
+                f"edge {k} ({u}, {v}): weight zero is not a valid edge; drop the edge instead")
+        tail, head = (u, v) if u < v else (v, u)
+        if (tail, head) in seen:
+            raise GraphConstructionError(f"edge {k} ({u}, {v}): duplicate node pair")
+        seen.add((tail, head))
+        canon.append((tail, head, w))
+    return WeightedGraph(int(node_count), tuple(canon))
+
+
+# 48 good edges on 50 nodes, both orientations and int and float weights: long
+# enough that build_graph checks them as whole arrays
+GOOD_EDGES = [((k * 7) % 50, (k * 7 + 1 + k % 5) % 50, 0.25 + k if k % 3 else k + 1)
+              for k in range(48)]
+GOOD_EDGES = [(v, u, w) if k % 2 else (u, v, w) for k, (u, v, w) in enumerate(GOOD_EDGES)]
+
+
+def _spliced(*extra, at=20):
+    return GOOD_EDGES[:at] + list(extra) + GOOD_EDGES[at:]
+
+
+BUILD_CASES = {
+    "well formed": GOOD_EDGES,
+    "list rows": [list(e) for e in GOOD_EDGES],
+    "tuple input": tuple(GOOD_EDGES),
+    "short list": GOOD_EDGES[:5],
+    "bool endpoint": _spliced((True, 40, 1.0)),
+    "bool endpoint first": _spliced((3, False, 1.0), at=0),
+    "float endpoint": _spliced((3.0, 40, 1.0)),
+    "np.integer endpoints": _spliced((np.int64(3), np.int32(40), 1.0)),
+    "np.integer endpoint out of range": _spliced((np.int64(50), 3, 1.0)),
+    "out of range": _spliced((3, 50, 1.0)),
+    "far out of range": _spliced((3, 2 ** 70, 1.0)),
+    "negative endpoint": _spliced((-1, 3, 1.0)),
+    "very negative endpoint": _spliced((-(2 ** 70), 3, 1.0)),
+    "self-loop": _spliced((7, 7, 1.0)),
+    "self-loop at the end": _spliced((49, 49, 1.0), at=48),
+    "duplicate pair": _spliced(GOOD_EDGES[3]),
+    "reversed duplicate pair": _spliced(GOOD_EDGES[3][1::-1] + (2.0,)),
+    "nan weight": _spliced((3, 40, float("nan"))),
+    "inf weight": _spliced((3, 40, float("inf"))),
+    "-inf weight": _spliced((3, 40, -float("inf"))),
+    "zero weight": _spliced((3, 40, 0.0)),
+    "int zero weight": _spliced((3, 40, 0)),
+    "negative zero weight": _spliced((3, 40, -0.0)),
+    "negative weights": [(u, v, -w if k % 4 == 0 else w) for k, (u, v, w) in enumerate(GOOD_EDGES)],
+    "int weights above 2**53": _spliced((3, 40, 2 ** 53 + 1), (4, 41, 2 ** 64 + 3), (5, 42, -(10 ** 30) - 1)),
+    "random int weights above 2**53": [
+        (u, v, w if k % 2 else -w) for k, ((u, v, _), w) in enumerate(zip(
+            GOOD_EDGES, np.random.default_rng(5).integers(2 ** 53, 2 ** 62, 48).tolist()))],
+    "int weight beyond the float range": _spliced((3, 40, 10 ** 400)),
+    "bool weight": _spliced((3, 40, True)),
+    "string weight": _spliced((3, 40, "2.5")),
+    "np.float64 weight": _spliced((3, 40, np.float64(2.5))),
+    "short tuple": _spliced((3, 40)),
+    "long tuple": _spliced((3, 40, 1.0, 2.0)),
+    "string row": _spliced("abc"),
+    "two faults": _spliced((3, 3, 1.0), (4, 50, 1.0)),
+    "fault after a duplicate": _spliced(GOOD_EDGES[0], (3, 40, float("nan"))),
+    "fault before a duplicate": _spliced((3, 40, float("nan")), GOOD_EDGES[0]),
+}
+
+
+def _outcome(build, n, edges):
+    try:
+        g = build(n, edges)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return g.node_count, g.edges, tuple(map(type, g.edges[0])) if g.edges else ()
+
+
+# the cases that build a graph, and whether the whole-array path builds it
+VALID_CASES = {"well formed": True, "list rows": True, "tuple input": True, "negative weights": True,
+               "int weights above 2**53": True, "random int weights above 2**53": True,
+               "short list": False, "np.integer endpoints": False, "bool weight": False,
+               "string weight": False, "np.float64 weight": False}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CASES))
+def test_build_graph_matches_the_per_edge_loop(name):
+    edges = BUILD_CASES[name]
+    want = _outcome(per_edge_build_graph, 50, edges)
+    assert _outcome(build_graph, 50, edges) == want
+    assert _outcome(build_graph, 50, (e for e in edges)) == want  # a generator
+    assert (name in VALID_CASES) == (not isinstance(want[0], type))
+    if name in VALID_CASES:
+        g = build_graph(50, edges)
+        assert ("weights" in g.__dict__) == VALID_CASES[name]  # preset by the whole-array path
+        assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
+        assert np.array_equal(g.weights, [w for _, _, w in want[1]])
+
+
+FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")
+
+
+def test_build_graph_arrays_match_the_lazily_built_ones():
+    g = build_graph(50, GOOD_EDGES)
+    assert {"tails", "heads", "weights"} <= set(g.__dict__)  # set by the whole-array path
+    lazy = WeightedGraph(g.node_count, g.edges)
+    for name in ("tails", "heads", "weights"):
+        got, want = getattr(g, name), getattr(lazy, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert {f: got.flags[f] for f in FLAGS} == {f: want.flags[f] for f in FLAGS}
+    assert np.array_equal(laplacian(g), laplacian(lazy))
 
 
 # ----------------------------------------------------- incidence/laplacian
@@ -464,6 +595,46 @@ def test_well_formed_documents_match_the_per_item_loop():
         g = graph_from_dict(doc)
         assert g == per_item_graph_from_dict(doc)
         assert all(type(w) is float for _, _, w in g.edges)
+
+
+# long enough that graph_from_dict checks the edge list as whole arrays
+GOOD_ITEMS = [{"u": u, "v": v, "w": w} for u, v, w in GOOD_EDGES]
+LONG_DOCUMENT_FAULTS = {
+    "list item": [[0, 3, 1.0]],
+    "null item": [None],
+    "missing w": [{"u": 0, "v": 3}],
+    "bool endpoint": [{"u": True, "v": 3, "w": 1.0}],
+    "float endpoint": [{"u": 0, "v": 3.0, "w": 1.0}],
+    "string endpoint": [{"u": "0", "v": 3, "w": 1.0}],
+    "bool weight": [{"u": 0, "v": 3, "w": False}],
+    "string weight": [{"u": 0, "v": 3, "w": "1.0"}],
+    "range fault": [{"u": 0, "v": 50, "w": 1.0}],
+    "far range fault": [{"u": 2 ** 70, "v": 3, "w": 1.0}],
+    "negative endpoint": [{"u": -1, "v": 3, "w": 1.0}],
+    "self-loop": [{"u": 3, "v": 3, "w": 1.0}],
+    "duplicate pair": [{"u": GOOD_EDGES[5][1], "v": GOOD_EDGES[5][0], "w": 1.0}],
+    "zero weight": [{"u": 0, "v": 3, "w": 0}],
+    "negative zero weight": [{"u": 0, "v": 3, "w": -0.0}],
+    "format fault after a range fault": [{"u": 0, "v": 50, "w": 1.0}, {"u": 0, "v": 3, "w": "x"}],
+    "well formed": [],
+    "int weights": [{"u": 0, "v": 3, "w": 7}, {"u": 1, "v": 4, "w": 2 ** 60 + 1}],
+    "dict subclass": [type("Item", (dict,), {})(u=0, v=3, w=1.0)],
+    "int subclass": [{"u": type("Count", (int,), {})(0), "v": 3, "w": 1.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_DOCUMENT_FAULTS))
+def test_long_documents_match_the_per_item_loop(name):
+    doc = {"nodes": 50, "edges": GOOD_ITEMS[:20] + LONG_DOCUMENT_FAULTS[name] + GOOD_ITEMS[20:]}
+    outcomes = []
+    for build in (per_item_graph_from_dict, graph_from_dict):
+        try:
+            outcomes.append(build(doc))
+        except Exception as exc:  # compared by class and message
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[1], WeightedGraph) == (name in {"well formed", "int weights",
+                                                               "dict subclass", "int subclass"})
 
 
 def test_graph_json_schema_shape(tmp_path):

@@ -9,6 +9,7 @@ it bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,39 @@ def test_rk4_nonlinear_matches_reference_bit_for_bit():
                                        exogenous_input=v, output_edges=out, store_every=3)
                 got = simulate_nonlinear(g, edges, coupling, cfg)
                 assert_identical(got, reference_nonlinear(g, edges, params, cfg))
+
+
+@pytest.mark.parametrize("seed", [18, 27])
+def test_rk4_many_edge_coupling_matches_reference_bit_for_bit(seed):
+    # nodes that touch several coupled edges sum their couplings in the order
+    # the incidence columns' layout gives; these cases differ in the last bit
+    # when the columns are laid out row-major instead of as E[:, edges]
+    n = 10 + seed % 7
+    g = generate_rgg(n, 0.9, 300 + seed)
+    rng = np.random.default_rng(seed)
+    edges = sorted(rng.choice(g.edge_count, size=5 + seed % 20, replace=False).tolist())
+    params = tuple((-0.2 * rng.random(), 0.3 * rng.random(), 1.0 + rng.random()) for _ in edges)
+    coupling = NonlinearCoupling(params)
+    dt = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
+    cfg = SimulationConfig(duration=2.0, dt=dt, initial_state=seeded_x0(n, seed), store_every=2)
+    assert_identical(simulate_nonlinear(g, edges, coupling, cfg),
+                     reference_nonlinear(g, edges, params, cfg))
+
+
+def test_nonlinear_runs_never_form_an_n_by_m_incidence():
+    """Peak traced memory of a one-edge coupled run stays below half of one n x m array."""
+    n = 400
+    g = generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
+    coupling = NonlinearCoupling(((-0.5, 0.2, 1.0),))
+    dt = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
+    config = SimulationConfig(duration=3 * dt, dt=dt, state_seed=1)
+    tracemalloc.start()
+    try:
+        simulate_nonlinear(g, [g.edge_count // 2], coupling, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * g.edge_count * 8
 
 
 def test_rk4_divergence_matches_reference():

@@ -47,6 +47,17 @@ def test_uncertainty_spec_validation():
         UncertaintySpec((0,), bound=-1.0)
 
 
+def test_out_of_range_uncertain_edges_are_named():
+    # the first edge out of range in ascending order, at either end of the set
+    for edges, bad in (((3,), 3), ((0, 7, 4), 4), ((-1, 1), -1), ((-2, 9, 0), -2)):
+        for margin in (small_gain_margin, sandwich_bounds):
+            with pytest.raises(GraphConstructionError,
+                               match=rf"uncertain edge index {bad} out of range for 3 edges"):
+                margin(TRIANGLE, UncertaintySpec(edges))
+    with pytest.raises(GraphConstructionError, match="index 3 out of range"):
+        single_edge_margin(TRIANGLE, 3)
+
+
 def test_sector_spec_validation():
     s = SectorSpec(((-1.0, 1.0), (0.0, 2.0)))
     assert np.allclose(s.alphas, [-1.0, 0.0])
@@ -142,6 +153,11 @@ def test_binding_tie_resolves_to_lowest_index():
     rep = worst_single_edge(TRIANGLE)
     assert rep.binding_edge == 0
     assert rep.global_margin == pytest.approx(1.5)
+    # a near tie within the relative window binds the lower index too, at its own margin
+    star = build_graph(3, [(0, 1, 1.0 + 1e-11), (0, 2, 1.0)])
+    rep = worst_single_edge(star)
+    assert rep.per_edge[0] > rep.per_edge[1]
+    assert (rep.binding_edge, rep.global_margin) == (0, rep.per_edge[0])
 
 
 def test_small_gain_margin_uniform_promotion():
