@@ -753,7 +753,10 @@ def _edge_triples(raw_edges: list) -> list:
             raise GraphFormatError(f"edges[{k}]: fields 'u' and 'v' must be integers")
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise GraphFormatError(f"edges[{k}]: field 'w' must be a number, got {w!r}")
-        triples.append((u, v, float(w)))
+        try:
+            triples.append((u, v, float(w)))
+        except OverflowError:  # an integer literal beyond the float range
+            raise GraphFormatError(f"edges[{k}]: field 'w' is beyond the float range") from None
     return triples
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graph as gr
+from . import spectral as sp
 from .errors import DisconnectedGraphError, GraphConstructionError, SingularMatrixError
 
 __all__ = [
@@ -40,7 +41,9 @@ def node_pair_resistance_matrix(
     through the grounded-Laplacian kernel.  Every pair must lie inside one
     component; the pairs need not be edges of the graph.  Raises
     SingularMatrixError when the kernel's |eigenvalue| ratio is at most
-    1e-10; on a tree those eigenvalues are R W R^T's, the weights.
+    1e-10; on a tree those eigenvalues are R W R^T's, the weights.  A
+    kernel with one eigenvalue has no other to compare it with: it is
+    singular when ``classify_stability`` counts that eigenvalue as zero.
     """
     _, labels = gr.connected_components(g)
     for u, v in pairs:
@@ -54,11 +57,11 @@ def node_pair_resistance_matrix(
             )
     lam = g.grounded_eigvals
     size = np.abs(lam)
-    if lam.size and size.min() <= _SINGULAR_RTOL * size.max():
-        ratio = 0.0 if size.max() == 0 else size.min() / size.max()
+    cut = _SINGULAR_RTOL * size.max() if lam.size > 1 else sp._zero_cut(lam, sp.DEFAULT_TOL)
+    if lam.size and size.min() <= cut:
         raise SingularMatrixError(
             "grounded Laplacian (congruent to R W R^T) is numerically singular "
-            f"(|lambda|_min/|lambda|_max = {ratio:.3e}); "
+            f"(|lambda|_min = {size.min():.3e}, |lambda|_max = {size.max():.3e}); "
             "the network sits on a degeneracy of its weights"
         )
     ends = np.array(pairs, dtype=int).reshape(-1, 2)

@@ -411,12 +411,9 @@ def detect_clusters(values: Sequence[float] | np.ndarray, tol: float = CLUSTER_T
     if values.size == 0:
         return ()
     order = np.argsort(values, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if values[cur] - values[prev] > tol:
-            groups.append([])
-        groups[-1].append(int(cur))
-    clusters = [tuple(sorted(grp)) for grp in groups]
+    cuts = (np.flatnonzero(np.diff(values[order]) > tol) + 1).tolist()
+    members = order.tolist()
+    clusters = [tuple(sorted(members[a:b])) for a, b in zip([0, *cuts], [*cuts, len(members)])]
     clusters.sort(key=lambda c: c[0])
     return tuple(clusters)
 
@@ -454,12 +451,13 @@ def generate_rgg(n: int, radius: float, seed: int, max_retries: int = 100) -> gr
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``t,x0,...,x{n-1}[,z0,...,z{m-1}]`` rows at 17 significant digits."""
+    """Write ``t,x0,...,x{n-1}[,z0,...,z{m-1}]`` rows, each value as ``%.17g`` writes it."""
+    # imported here, so a process that writes no CSV does not load the engine
+    from ._csvtext import csv_blocks
+
     n = traj.states.shape[1]
     p = traj.outputs.shape[1]
     header = ["t"] + [f"x{i}" for i in range(n)] + [f"z{j}" for j in range(p)]
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for values in np.column_stack((traj.times, traj.states, traj.outputs)):
-            fh.write(row % tuple(values.tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(csv_blocks(np.column_stack((traj.times, traj.states, traj.outputs))))

@@ -123,6 +123,15 @@ def test_analyze_parse_error_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_analyze_weight_beyond_float_range_exit_1(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"nodes": 2, "edges": [{"u": 0, "v": 1, "w": 1' + "0" * 400 + "}]}")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.startswith("resistnet: error: ")
+    assert "edges[0]" in err and "float range" in err
+
+
 def test_analyze_thresholds_reported(capsys, tmp_path):
     path = write_graph(tmp_path, "t.json", 3,
                        [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.6)])

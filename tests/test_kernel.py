@@ -140,6 +140,20 @@ def test_singular_at_exact_stability_boundary():
             node_pair_resistance_matrix(boundary, [(boundary.edges[e][0], boundary.edges[e][1])])
 
 
+def test_singular_when_marginal_with_a_one_by_one_kernel():
+    # 1.6279741148513789 less its own margin 1/R leaves one ulp-sized weight;
+    # the kernel's |eigenvalue| ratio is 1 there, yet the graph is marginal
+    g = build_graph(2, [(0, 1, 1.6279741148513789)])
+    w = g.weights[0] - single_edge_margin(g, 0).global_margin
+    assert w == 2.220446049250313e-16
+    boundary = build_graph(2, [(0, 1, w)])
+    assert classify_stability(boundary).classification == "marginal"
+    with pytest.raises(SingularMatrixError):
+        node_pair_resistance_matrix(boundary, [(0, 1)])
+    with pytest.raises(SingularMatrixError):
+        effective_resistance(boundary, 0, 1)
+
+
 def weak_path(w, n=301):
     """Path 0-1-...-(n-1) whose first edge has weight w and the rest weight 1."""
     return build_graph(n, [(0, 1, w)] + [(i, i + 1, 1.0) for i in range(1, n - 1)])

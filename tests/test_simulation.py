@@ -238,6 +238,37 @@ def test_detect_clusters():
         detect_clusters(np.zeros((2, 2)))
 
 
+def loop_clusters(values, tol=1e-4):
+    """The per-node gap loop that ``detect_clusters`` replaces: its oracle."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return ()
+    order = np.argsort(values, kind="stable")
+    groups = [[int(order[0])]]
+    for prev, cur in zip(order[:-1], order[1:]):
+        if values[cur] - values[prev] > tol:
+            groups.append([])
+        groups[-1].append(int(cur))
+    clusters = [tuple(sorted(grp)) for grp in groups]
+    clusters.sort(key=lambda c: c[0])
+    return tuple(clusters)
+
+
+def test_detect_clusters_matches_the_gap_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        centers = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
+        values = rng.choice(centers, size=n) + rng.normal(scale=10.0 ** -rng.integers(3, 9), size=n)
+        if trial % 10 == 0:
+            values[rng.integers(0, n)] = rng.choice([np.nan, np.inf, -np.inf])
+        tol = float(rng.choice([1e-4, 1e-6, 0.0]))
+        assert detect_clusters(values, tol) == loop_clusters(values, tol)
+    # gaps of exactly tol do not split; tied values keep their input order
+    steps = np.array([0.0, 0.5, 1.0, 1.5, 0.5, 3.0])
+    assert detect_clusters(steps, 0.5) == loop_clusters(steps, 0.5) == ((0, 1, 2, 3, 4), (5,))
+
+
 def test_generate_rgg_deterministic_and_connected():
     g1 = generate_rgg(30, 0.3, 5)
     g2 = generate_rgg(30, 0.3, 5)
