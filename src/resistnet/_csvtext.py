@@ -230,7 +230,7 @@ def csv_blocks(rows: np.ndarray) -> Iterator[bytes]:
         x = block.ravel()
         field, fallback = _fields(x, seps[:x.size])
         field = field.ravel()
-        text = np.compress(field != 0, field).tobytes()
+        text = field[field != 0].tobytes()
         if fallback.any():
             lines = text.split(b"\n")
             for i in np.flatnonzero(fallback.reshape(block.shape).any(axis=1)):

@@ -434,13 +434,12 @@ def cmd_simulate(args) -> int:
         if not (0 <= k < g.edge_count):
             raise InputError(f"--perturb edge {k} out of range for {g.edge_count} edges")
         w[k] += d
-    perturbed = gr._with_weights(g, w) if delta else g
     for k in couplings:
         if not (0 <= k < g.edge_count):
             raise InputError(f"--nonlinear edge {k} out of range for {g.edge_count} edges")
     dt = args.dt
     if dt is None:  # the integrators run their own step guards
-        lam_max = float(np.linalg.eigvalsh(gr.laplacian(perturbed))[-1])
+        lam_max = float(np.linalg.eigvalsh(gr._laplacian(g.node_count, g.tails, g.heads, w))[-1])
         slope = max((abs(a) + abs(b * c) for a, b, c in couplings.values()), default=0.0)
         dt = _auto_dt(lam_max + slope)
 
@@ -454,9 +453,10 @@ def cmd_simulate(args) -> int:
     if couplings:
         edges_sorted = sorted(couplings)
         coupling = sim.NonlinearCoupling(tuple(couplings[k] for k in edges_sorted))
+        perturbed = gr._with_weights(g, w) if delta else g
         traj = sim.simulate_nonlinear(perturbed, edges_sorted, coupling, config)
     else:
-        traj = sim.simulate_linear(perturbed, None, config)
+        traj = sim.simulate_linear(g, delta, config)
     sim.write_trajectory_csv(traj, args.out)
 
     outcome, clusters = _outcome(traj)

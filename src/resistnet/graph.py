@@ -33,7 +33,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,6 +67,30 @@ __all__ = [
 ]
 
 
+class _cached_property:
+    """``functools.cached_property`` without its lock.
+
+    The first read calls the function and stores the value in the
+    instance ``__dict__`` under the same name; as a non-data descriptor it
+    is then shadowed, so later reads never reach it.  Python 3.11's
+    ``cached_property`` takes an RLock on every first read, a cost that
+    counts when thousands of small graphs each fill ten caches.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Immutable weighted graph.
@@ -88,19 +111,19 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached_property
     def tails(self) -> np.ndarray:
         return np.array([e[0] for e in self.edges], dtype=int)
 
-    @cached_property
+    @_cached_property
     def heads(self) -> np.ndarray:
         return np.array([e[1] for e in self.edges], dtype=int)
 
-    @cached_property
+    @_cached_property
     def weights(self) -> np.ndarray:
         return np.array([e[2] for e in self.edges], dtype=float)
 
-    @cached_property
+    @_cached_property
     def _adj(self) -> list[list[tuple[int, int]]]:
         """``(neighbor, edge)`` pairs per node, sorted by neighbor so that
         traversals are deterministic."""
@@ -112,7 +135,7 @@ class WeightedGraph:
             lst.sort()
         return adj
 
-    @cached_property
+    @_cached_property
     def _bfs(self) -> tuple[int, np.ndarray, list[bool], list[int]]:
         """Component count, read-only node labels, forest-edge flags and
         component roots (smallest nodes) of the BFS that
@@ -140,36 +163,36 @@ class WeightedGraph:
         labels.flags.writeable = False
         return count, labels, in_forest, roots
 
-    @cached_property
+    @_cached_property
     def _blocks(self) -> tuple[list[int], list[int], list[int]]:
         """Block label per edge, tree edge per node and discovery order of
         the one block search (``_edge_blocks``) per graph."""
         return _edge_blocks(self)
 
-    @cached_property
+    @_cached_property
     def _block_tree(self) -> _BlockTree:
         return _block_cut_tree(self)
 
-    @cached_property
+    @_cached_property
     def _memo(self) -> dict:
         """Analysis results on this graph, keyed by analysis and arguments:
         ``stability`` keeps its verdict per zero threshold here and
         ``robustness`` its gains per uncertain-edge set and threshold."""
         return {}
 
-    @cached_property
+    @_cached_property
     def _signs(self) -> SignedPartition:
         pos = tuple(k for k, (_, _, w) in enumerate(self.edges) if w > 0)
         neg = tuple(k for k, (_, _, w) in enumerate(self.edges) if w < 0)
         return SignedPartition(pos, neg)
 
-    @cached_property
+    @_cached_property
     def _positive(self) -> WeightedGraph:
         # built once, so its cached factorization and BFS are shared too; only
         # for signed graphs, since caching the graph itself here would be a cycle
         return _edge_subgraph(self, self._signs.positive_edges)
 
-    @cached_property
+    @_cached_property
     def _negative_resistances(self) -> np.ndarray:
         """d x d resistance Gram R_- of the negative edges' endpoints in the
         positive subgraph, read once for the thresholds and the
@@ -179,7 +202,7 @@ class WeightedGraph:
         pairs = [self.edges[k][:2] for k in self._signs.negative_edges]
         return node_pair_resistance_matrix(self._positive, pairs)
 
-    @cached_property
+    @_cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, until
         both kernel properties exist.
@@ -199,7 +222,7 @@ class WeightedGraph:
         Cinv = np.linalg.inv(np.linalg.cholesky(unit[ground]))
         return Cinv, Cinv @ laplacian(self)[ground] @ Cinv.T, ground
 
-    @cached_property
+    @_cached_property
     def grounded_eigvals(self) -> np.ndarray:
         """Eigenvalues of the grounded Laplacian pencil (L_g, L1_g), ascending.
 
@@ -212,7 +235,7 @@ class WeightedGraph:
             del self.__dict__["_pencil"]  # nothing else reads it
         return np.linalg.eigvalsh(A)
 
-    @cached_property
+    @_cached_property
     def grounded_inverse(self) -> np.ndarray:
         """n x n grounded inverse G = C^{-T} A^{-1} C^{-1} = L_g^{-1}, zero at the deleted nodes.
 

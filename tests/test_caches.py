@@ -41,6 +41,24 @@ def fresh(g):
     return build_graph(g.node_count, g.edges)
 
 
+def test_graph_caches_fill_the_instance_dict_once():
+    calls = []
+
+    class Probe:
+        @gr._cached_property
+        def value(self):
+            """The probe's value."""
+            calls.append(self)
+            return object()
+
+    probe = Probe()
+    first = probe.value
+    assert probe.value is first and probe.__dict__["value"] is first
+    assert calls == [probe] and Probe.value.__doc__ == "The probe's value."
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    assert g.weights is g.__dict__["weights"] and g.weights is g.weights
+
+
 def test_component_labels_are_one_read_only_array():
     g = build_graph(5, [(0, 1, 1.0), (3, 4, 2.0)])
     count, labels = connected_components(g)

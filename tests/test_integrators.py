@@ -3,9 +3,10 @@
 ``reference_run`` is the plain fixed-step loop: zero-input linear runs apply
 the exact RK4 step map Phi = I - hL + (hL)^2/2 - (hL)^3/6 + (hL)^4/24 once
 per step, other runs take RK4 steps on their derivative, and outputs come
-from a dense output incidence matrix.  The closed-form zero-input path must
-agree with it to rounding; the RK4 paths and the CSV writer must agree with
-it bit for bit.
+from a dense output incidence matrix.  The linear paths, which run in L's
+eigenbasis (zero-input runs in closed form, forced runs by the modal RK4
+step map), must agree with it to rounding; the nonlinear RK4 path and the
+CSV writer must agree with it bit for bit.
 """
 
 import math
@@ -121,6 +122,19 @@ def assert_identical(got, want):
     assert got.diverged_at == want.diverged_at
 
 
+def assert_agrees(got, want, tag):
+    """Same stored times and divergence; each stored row within rounding of the loop's."""
+    assert np.array_equal(got.times, want.times), tag
+    assert got.diverged == want.diverged, tag
+    assert got.diverged_at == want.diverged_at, tag
+    assert np.array_equal(got.states[0], want.states[0]), tag
+    scale = np.max(np.abs(want.states), axis=1, keepdims=True)
+    gap = float(np.max(np.abs(got.states - want.states) / scale))
+    assert gap <= 1e-9, (tag, gap)
+    zscale = np.maximum(scale, 1e-300)
+    assert np.max(np.abs(got.outputs - want.outputs) / zscale) <= 2e-9, tag
+
+
 def seeded_x0(n, seed):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
@@ -149,16 +163,7 @@ def test_closed_form_matches_step_map_loop():
                 cfg = SimulationConfig(duration=3.0, dt=auto_dt(g), initial_state=x0,
                                        store_every=every)
                 got = simulate_linear(g, delta, cfg)
-                want = reference_linear(g, delta, cfg)
-                assert np.array_equal(got.times, want.times), (seed, factor, every)
-                assert got.diverged == want.diverged, (seed, factor, every)
-                assert got.diverged_at == want.diverged_at, (seed, factor, every)
-                assert np.array_equal(got.states[0], x0)
-                scale = np.max(np.abs(want.states), axis=1, keepdims=True)
-                gap = float(np.max(np.abs(got.states - want.states) / scale))
-                assert gap <= 1e-9, (seed, factor, every, gap)
-                zscale = np.maximum(scale, 1e-300)
-                assert np.max(np.abs(got.outputs - want.outputs) / zscale) <= 2e-9
+                assert_agrees(got, reference_linear(g, delta, cfg), (seed, factor, every))
                 runs += 1
                 diverged += got.diverged
     assert runs == 720
@@ -211,20 +216,74 @@ def rk4_cases():
         yield seed, g, x0, dt, pairs
 
 
-def test_rk4_exogenous_inputs_match_reference_bit_for_bit():
+def test_forced_linear_matches_rk4_loop():
+    runs = 0
     for seed, g, x0, dt, pairs in rk4_cases():
         n = g.node_count
         rng = np.random.default_rng(seed)
-        inputs = (
-            burst_input(n, [0, n // 2], 3.0, 0.1, 0.4),
-            table_input([0.0, 0.2, 0.5], rng.normal(size=(3, n))),
-        )
-        for v in inputs:
-            for out, every in ((None, 1), (pairs, 5)):
+        weights = rng.normal(size=n)
+        # a step whose end stage time (k-1) dt + dt falls below the float
+        # k dt, so a breakpoint at k dt lies between the two
+        k = next(k for k in range(2, 300) if (k - 1) * dt + dt < k * dt)
+        inputs = {
+            "burst": burst_input(n, [0, n // 2], 3.0, 0.1, 0.4),
+            "table": table_input([0.0, 0.2, 0.5], rng.normal(size=(3, n))),
+            "off-grid": table_input([0.0123, 0.3377 + dt / 3, 0.911], rng.normal(size=(3, n))),
+            "on stage": burst_input(n, [1, n - 1], -2.0, 2 * dt + 0.5 * dt, k * dt),
+            "callable": lambda t: np.sin(3.0 * t) * weights,
+        }
+        for name, v in inputs.items():
+            for out, every in ((None, 1), (pairs, 5), (None, 10 ** 6)):
                 cfg = SimulationConfig(duration=1.5, dt=dt, initial_state=x0,
                                        exogenous_input=v, output_edges=out, store_every=every)
-                assert_identical(simulate_linear(g, {1: -0.2}, cfg),
-                                 reference_linear(g, {1: -0.2}, cfg))
+                got = simulate_linear(g, {1: -0.2}, cfg)
+                assert_agrees(got, reference_linear(g, {1: -0.2}, cfg), (seed, name, every))
+                runs += 1
+        assert len(got.times) == 2  # store_every past the step count keeps x0 and the end
+    assert runs == 90
+
+
+def test_forced_linear_divergence_matches_rk4_loop():
+    # a -1.5x margin perturbation makes L indefinite; the run diverges while the burst is on
+    diverged = 0
+    for seed, g, x0, dt, pairs in rk4_cases():
+        report = worst_single_edge(g)
+        delta = {report.binding_edge: -1.5 * report.global_margin}
+        v = burst_input(g.node_count, [0, 2], 1.5, 0.0, 1e6)
+        cfg = SimulationConfig(duration=60.0, dt=dt, initial_state=x0, exogenous_input=v,
+                               output_edges=pairs, store_every=64)
+        got = simulate_linear(g, delta, cfg)
+        assert_agrees(got, reference_linear(g, delta, cfg), seed)
+        diverged += got.diverged
+    assert diverged == 6
+
+
+def test_forced_linear_overflow_past_divergence_is_quiet():
+    # the modes grow about 8000x a step, so the rest of the chunk past the
+    # divergence step overflows; that must raise no RuntimeWarning
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1e3)])
+    cfg = SimulationConfig(duration=50.0, dt=0.01, initial_state=[0.3, -0.1, 0.5],
+                           exogenous_input=burst_input(3, [1], 1.0, 0.0, 1.0))
+    got = simulate_linear(g, None, cfg)
+    assert got.diverged and np.all(np.isfinite(got.states))
+    assert_agrees(got, reference_linear(g, None, cfg), "overflow")
+
+
+def test_forced_linear_memory_is_set_by_the_chunk():
+    """A long forced run holds a chunk of input samples, not the run's."""
+    n, steps = 50, 200_000
+    g = generate_rgg(n, 0.4, seed=3)
+    v = burst_input(n, [0, 1], 1.0, 100.0, 200.0)
+    config = SimulationConfig(duration=steps * 0.002, dt=0.002, state_seed=1, exogenous_input=v,
+                              store_every=10_000)
+    tracemalloc.start()
+    try:
+        traj = simulate_linear(g, None, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 21 and not traj.diverged
+    assert peak < 0.05 * steps * n * 8
 
 
 def test_rk4_nonlinear_matches_reference_bit_for_bit():

@@ -181,6 +181,30 @@ def test_exogenous_input_drives_state():
     assert traj.states[-1].sum() == pytest.approx(1.0, abs=0.005)
 
 
+@pytest.mark.parametrize("length", [4, 1])
+def test_linear_input_of_wrong_length_is_refused(length):
+    # a length-1 input is not broadcast to every node
+    v = table_input([0.0, 0.5], np.ones((2, length)))
+    with pytest.raises(InputError, match=rf"shape \({length},\), expected \(3,\)"):
+        simulate_linear(TRIANGLE, None, config(duration=1.0, exogenous_input=v))
+
+
+def test_linear_input_checked_in_every_chunk():
+    # well shaped at first, a scalar from t = 5 on, past the first chunk (3640 steps)
+    good = np.ones(3)
+    v = lambda t: good if t < 5.0 else 0.0  # noqa: E731
+    with pytest.raises(InputError, match=r"at t = 5\.0 has shape \(\)"):
+        simulate_linear(TRIANGLE, None, config(duration=20.0, dt=1e-3, exogenous_input=v))
+
+
+@pytest.mark.parametrize("length", [4, 1])
+def test_nonlinear_input_of_wrong_length_is_refused(length):
+    v = burst_input(length, [0], 1.0, 0.0, 1.0)
+    coupling = NonlinearCoupling(((-0.1, 0.1, 1.0),))
+    with pytest.raises(InputError, match=rf"shape \({length},\), expected \(3,\)"):
+        simulate_nonlinear(TRIANGLE, [0], coupling, config(duration=1.0, exogenous_input=v))
+
+
 def test_table_input_zero_order_hold():
     f = table_input([0.0, 1.0], np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert np.array_equal(f(0.5), [1.0, 0.0])
