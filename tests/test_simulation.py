@@ -181,6 +181,20 @@ def test_exogenous_input_drives_state():
     assert traj.states[-1].sum() == pytest.approx(1.0, abs=0.005)
 
 
+def test_linear_input_read_once_per_stage_time():
+    # t, t + dt/2 (both middle stages) and t + dt: 3 reads per step
+    times = []
+    burst = burst_input(3, [0], 1.0, 0.0, 0.5)
+
+    def v(t):
+        times.append(t)
+        return burst(t)
+
+    simulate_linear(TRIANGLE, None, config(duration=1.0, dt=0.01, exogenous_input=v))
+    assert len(times) == 300
+    assert sorted(times)[:6] == [0.0, 0.005, 0.01, 0.01, 0.015, 0.02]
+
+
 @pytest.mark.parametrize("length", [4, 1])
 def test_linear_input_of_wrong_length_is_refused(length):
     # a length-1 input is not broadcast to every node
