@@ -77,7 +77,7 @@ from .simulation import (
     table_input,
     write_trajectory_csv,
 )
-from .spectral import Signature, is_psd, pseudoinverse, signature_of, spectral_norm
+from .spectral import DEFAULT_TOL, Signature, is_psd, pseudoinverse, signature_of, spectral_norm
 from .stability import (
     MARGINAL,
     STABLE,

@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -312,17 +313,17 @@ def cmd_margin(args) -> int:
         raise
     except ValueError as exc:
         raise InputError(f"bad --edges value: {exc}") from exc
+    spec = rb.UncertaintySpec(edges)
     warning = None
-    if args.edges == "all":
-        report = rb.small_gain_margin(g, rb.UncertaintySpec(edges), args.tol)
-    elif len(edges) == 1:
-        report = rb.single_edge_margin(g, edges[0], args.tol)
+    if args.edges == "all" or len(edges) == 1:
+        # on one edge the small-gain margin is the exact margin 1/R_e
+        report = rb.small_gain_margin(g, spec, args.tol)
     else:
         try:
-            report = rb.disjoint_paths_margin(g, rb.UncertaintySpec(edges), args.tol)
+            report = rb.disjoint_paths_margin(g, spec, args.tol)
         except NotApplicableError as exc:
             warning = f"{exc}; falling back to the small-gain margin"
-            report = rb.small_gain_margin(g, rb.UncertaintySpec(edges), args.tol)
+            report = rb.small_gain_margin(g, spec, args.tol)
 
     sector_doc = None
     exit_code = EXIT_OK
@@ -331,23 +332,10 @@ def cmd_margin(args) -> int:
             alpha, beta = (float(s) for s in args.sector.split(","))
         except ValueError as exc:
             raise InputError(f"--sector expects 'A,B', got {args.sector!r}") from exc
-        spec = rb.UncertaintySpec(edges)
         result = rb.sector_stability_check(
             g, spec, rb.SectorSpec(tuple((alpha, beta) for _ in spec.uncertain_edges)), args.tol
         )
-        sector_doc = {
-            "alpha": alpha,
-            "beta": beta,
-            "stable": result.stable,
-            "gain_condition": result.gain_condition,
-            "quadratic_condition": result.quadratic_condition,
-            "sigma_bar_m11": result.sigma_bar_m11,
-            "max_abs_alpha": result.max_abs_alpha,
-            "gain_margin": result.gain_margin,
-            "quadratic_min_eig": result.quadratic_min_eig,
-            "proof_form_min_eig": result.proof_form_min_eig,
-            "proof_form_disagrees": result.proof_form_disagrees,
-        }
+        sector_doc = {"alpha": alpha, "beta": beta, **asdict(result)}
         if not result.stable:
             exit_code = EXIT_ANALYTIC
 

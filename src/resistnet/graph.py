@@ -195,8 +195,9 @@ class WeightedGraph:
     @_cached_property
     def _negative_resistances(self) -> np.ndarray:
         """d x d resistance Gram R_- of the negative edges' endpoints in the
-        positive subgraph, read once for the thresholds and the
-        total-resistance check (which test its connectivity first)."""
+        positive subgraph, read once for the block test, the thresholds and
+        the total-resistance check, each of which first makes sure that no
+        negative edge joins two of its components."""
         from .resistance import node_pair_resistance_matrix  # resistance builds on this module
 
         pairs = [self.edges[k][:2] for k in self._signs.negative_edges]
@@ -680,6 +681,17 @@ def _path_blocks(g: WeightedGraph, u: int, v: int) -> set[int]:
         if u >= n:
             found.add(u - n)
     return found
+
+
+def _first_overlap(supports: Iterable[Iterable[int]]) -> tuple[int, int] | None:
+    """Least pair (i, j), i < j, of positions whose block sets share a
+    block, or None: the first two holders of a block it shares."""
+    holders: dict[int, list[int]] = {}
+    for i, blocks in enumerate(supports):
+        for b in blocks:
+            holders.setdefault(b, []).append(i)
+    shared = [pos[:2] for pos in holders.values() if len(pos) > 1]
+    return tuple(min(shared)) if shared else None
 
 
 def path_edge_set(g: WeightedGraph, u: int, v: int) -> set[int]:

@@ -20,7 +20,8 @@ resistances are its diagonal.  sigma_bar needs no n x m channel: it is
 1/lambda_min of the grounded pencil when E_delta is every edge, otherwise
 the top eigenvalue of the smaller of the |E_delta|-square Gram and the
 (n-1)-square K^T L_delta,g K (K K^T = G_g, L_delta the unit Laplacian of
-E_delta).  ``m11_frequency_response`` keeps the forest form above.
+E_delta).  ``m11_frequency_response`` reads the channel in node form; the
+forest form above is its tested reference.
 """
 
 from __future__ import annotations
@@ -257,18 +258,24 @@ def m11_frequency_response(
     omega: float,
     tol: float = sp.DEFAULT_TOL,
 ) -> np.ndarray:
-    """M11(j omega) = P^T R^T (j omega I + L_ess)^{-1} L_e(F) R P (complex)."""
+    """M11(j omega) = E_delta^T (j omega I + L + c 1 1^T / n)^{-1} E_delta (complex).
+
+    E_delta holds the uncertain edges' incidence columns, which sum to
+    zero, so the rank-one term changes nothing on them and keeps omega = 0
+    (the resistance Gram ``m11_at_zero``) solvable: one n x n solve.  Its
+    eigenvalue c = tr(L)/n sits at L's scale, so any weight scale solves
+    as accurately.
+    """
     _require_nominal_stability(g, tol)
     _validate_edges(g, spec)
-    f = gr.spanning_forest(g)
-    E = gr.incidence_matrix(g)
-    EF = E[:, list(f.forest_edges)]
-    Le = EF.T @ EF
-    R = f.cut_matrix
-    RP = R[:, list(spec.uncertain_edges)]
-    ess = Le @ (R * g.weights) @ R.T
-    lhs = 1j * omega * np.eye(ess.shape[0]) + ess
-    return RP.T @ np.linalg.solve(lhs, Le @ RP)
+    n, k = g.node_count, list(spec.uncertain_edges)
+    cols = np.arange(len(k))
+    E = np.zeros((n, len(k)))
+    E[g.tails[k], cols] = 1.0
+    E[g.heads[k], cols] = -1.0
+    L = gr.laplacian(g)
+    A = L + L.trace() / n**2 + 1j * omega * np.eye(n)
+    return E.T @ np.linalg.solve(A, E)
 
 
 def _bounds(g: gr.WeightedGraph, spec: UncertaintySpec, r: np.ndarray, sigma: float) -> SandwichBounds:
@@ -371,13 +378,12 @@ def disjoint_paths_margin(
     _validate_edges(g, spec)
     block, _, _ = g._blocks
     keys = spec.uncertain_edges
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            if block[a] == block[b]:
-                raise NotApplicableError(
-                    f"path supports of uncertain edges {a} and {b} overlap; "
-                    "the disjoint-paths margin does not apply (use small_gain_margin)"
-                )
+    pair = gr._first_overlap([block[k]] for k in keys)
+    if pair is not None:
+        raise NotApplicableError(
+            f"path supports of uncertain edges {keys[pair[0]]} and {keys[pair[1]]} overlap; "
+            "the disjoint-paths margin does not apply (use small_gain_margin)"
+        )
     return _report(g, spec, tol, "exact_single_edge" if len(keys) == 1 else "disjoint_paths", False)
 
 
@@ -432,15 +438,12 @@ def single_edge_sector_check(
     beta: float,
     tol: float = sp.DEFAULT_TOL,
 ) -> bool:
-    """Scalar sector test on one edge.
+    """``sector_stability_check`` on the one uncertain edge ``e``.
 
-    True iff |alpha| < 1/R_uv(G) and (beta-alpha)^2 - 2(beta-alpha) - 1
-    > -2 w_uv (both strict).  Consistent with ``sector_stability_check`` on
-    a singleton uncertain set.
+    True iff |alpha| < 1/R_uv(G) and the quadratic condition holds with
+    the sector (alpha, beta) on edge ``e`` and every other edge at its
+    nominal weight, above the relative zero threshold.  Raises
+    GraphConstructionError unless alpha < beta.
     """
-    if not alpha < beta:
-        raise GraphConstructionError(f"sector requires alpha < beta, got ({alpha}, {beta})")
-    report = single_edge_margin(g, int(e), tol)
-    width = beta - alpha
-    w = g.edges[int(e)][2]
-    return abs(alpha) < report.global_margin and width * width - 2.0 * width - 1.0 > -2.0 * w
+    sectors = SectorSpec(((alpha, beta),))
+    return sector_stability_check(g, UncertaintySpec((e,)), sectors, tol).stable

@@ -5,11 +5,11 @@ negative eigenvalues drives the agreement dynamics xdot = -L x to consensus.
 Classification reads the eigenvalues of the graph's cached grounded-Laplacian
 pencil (L with one node per component deleted, against its unit-weight copy;
 congruent to R W R^T), whose inertia equals L's up to the structural zeros,
-plus a set of certificates for networks with negative weights: a
-positive-semidefinite block test (true by structure without negative
-edges), a cut criterion, single- and multi-edge magnitude thresholds and a
-total-resistance necessary condition, which read resistances from the
-positive subgraph's cached grounded inverse.
+plus certificates for networks with negative weights: a cut criterion,
+single- and multi-edge magnitude thresholds, a total-resistance necessary
+condition and a positive-semidefinite block test (the cut criterion plus
+the d x d Schur complement |W_-|^{-1} - R_-), which all read one
+resistance Gram R_- from the positive subgraph's cached grounded inverse.
 """
 
 from __future__ import annotations
@@ -91,24 +91,23 @@ def _classify(g: gr.WeightedGraph, tol: float) -> StabilityVerdict:
 def lmi_psd_check(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> bool:
     """Block-matrix test equivalent to L(G) being positive semidefinite.
 
-    Checks that [[|W_-|^{-1}, E_-^T], [E_-, E_+ W_+ E_+^T]] >= 0, where the
-    split is by weight sign.  With no negative edges L = E W E^T >= 0 holds
-    by structure, so no eigensolve runs.  Agrees with
-    ``classify_stability``'s n_minus == 0 for every signed graph.
+    [[|W_-|^{-1}, E_-^T], [E_-, E_+ W_+ E_+^T]] >= 0 (split by weight sign)
+    iff no negative edge joins two components of the positive subgraph and
+    the Schur complement |W_-|^{-1} - R_- >= 0, R_- the thresholds'
+    resistance Gram; its inertia is read from the d x d I - D R_- D,
+    D = |W_-|^{1/2} (d = 1: |w| <= 1/R_uv).  True without negative edges,
+    by structure.  Agrees with ``classify_stability``'s n_minus == 0.
+    Raises SingularMatrixError when ``node_pair_resistance_matrix`` does on
+    the positive subgraph, as ``total_resistance_necessary_check`` does.
     """
     neg = list(gr.signed_partition(g).negative_edges)
     if not neg:
         return True
-    d = len(neg)
-    rows = np.arange(d)
-    tails, heads = d + g.tails[neg], d + g.heads[neg]
-    M = np.zeros((d + g.node_count, d + g.node_count))
-    M[rows, rows] = 1.0 / np.abs(g.weights[neg])
-    M[rows, tails] = M[tails, rows] = 1.0
-    M[rows, heads] = M[heads, rows] = -1.0
-    M[d:, d:] = gr.laplacian(gr.positive_subgraph(g))
-    # symmetric by construction, so no symmetrized copy
-    return sp._eigval_signature(np.linalg.eigvalsh(M), tol).n_minus == 0
+    if gr.negative_cut_components(g)[0]:
+        return False
+    D = np.sqrt(np.abs(g.weights[neg]))
+    S = np.eye(len(neg)) - D[:, None] * g._negative_resistances * D
+    return sp._eigval_signature(np.linalg.eigvalsh(S), tol).n_minus == 0
 
 
 def negative_cut_verdict(g: gr.WeightedGraph) -> str:
@@ -161,6 +160,15 @@ class MultiEdgeThresholds:
     overlap: tuple[int, int] | None = None
 
 
+def _negative_edges(g: gr.WeightedGraph, caller: str) -> tuple[int, ...]:
+    """The negative edges of ``g``; when there are any, its positive
+    subgraph must be connected, or ``caller`` raises DisconnectedGraphError."""
+    neg = gr.signed_partition(g).negative_edges
+    if neg and gr.connected_components(gr.positive_subgraph(g))[0] != 1:
+        raise DisconnectedGraphError(f"{caller} requires a connected positive subgraph")
+    return neg
+
+
 def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
     """Independent magnitude thresholds for several negative edges.
 
@@ -168,32 +176,18 @@ def multi_negative_edge_thresholds(g: gr.WeightedGraph) -> MultiEdgeThresholds:
     path support is the set of blocks on its endpoints' block-cut-tree path
     in the positive subgraph, whose block search runs once per graph, at
     any size; thresholds are only valid when those supports are pairwise
-    disjoint.
+    disjoint.  Blocks partition the edges, so two supports overlap iff they
+    share a block, and ``overlap`` names the least such pair.
     """
-    part = gr.signed_partition(g)
-    if not part.negative_edges:
+    neg = _negative_edges(g, "multi_negative_edge_thresholds")
+    if not neg:
         return MultiEdgeThresholds(True, {})
     plus = gr.positive_subgraph(g)
-    count, _ = gr.connected_components(plus)
-    if count != 1:
-        raise DisconnectedGraphError(
-            "multi_negative_edge_thresholds requires a connected positive subgraph"
-        )
-    # blocks partition the edges, so two supports overlap iff they share a
-    # block; the first overlapping pair in key order is then the least
-    # (first, second) pair of positions holding one block
-    keys = part.negative_edges
-    holders: dict[int, list[int]] = {}
-    for i, k in enumerate(keys):
-        for b in gr._path_blocks(plus, *g.edges[k][:2]):
-            holders.setdefault(b, []).append(i)
-    shared = [pos[:2] for pos in holders.values() if len(pos) > 1]
-    if shared:
-        i, j = min(shared)
-        return MultiEdgeThresholds(False, None, (keys[i], keys[j]))
+    pair = gr._first_overlap(gr._path_blocks(plus, *g.edges[k][:2]) for k in neg)
+    if pair is not None:
+        return MultiEdgeThresholds(False, None, (neg[pair[0]], neg[pair[1]]))
     diag = np.diag(g._negative_resistances)
-    thresholds = {k: 1.0 / float(r) for k, r in zip(part.negative_edges, diag)}
-    return MultiEdgeThresholds(True, thresholds)
+    return MultiEdgeThresholds(True, {k: 1.0 / float(r) for k, r in zip(neg, diag)})
 
 
 def total_resistance_necessary_check(g: gr.WeightedGraph) -> bool:
@@ -205,15 +199,9 @@ def total_resistance_necessary_check(g: gr.WeightedGraph) -> bool:
     passing proves nothing.  Equality passes.  Requires a connected positive
     subgraph; with no negative edges the check trivially passes.
     """
-    part = gr.signed_partition(g)
-    if not part.negative_edges:
+    neg = _negative_edges(g, "total_resistance_necessary_check")
+    if not neg:
         return True
-    plus = gr.positive_subgraph(g)
-    count, _ = gr.connected_components(plus)
-    if count != 1:
-        raise DisconnectedGraphError(
-            "total_resistance_necessary_check requires a connected positive subgraph"
-        )
     r_total = float(np.trace(g._negative_resistances))
-    capacity = float(np.sum(1.0 / np.abs(g.weights[list(part.negative_edges)])))
+    capacity = float(np.sum(1.0 / np.abs(g.weights[list(neg)])))
     return capacity >= r_total * (1.0 - _BOUNDARY_SLACK)

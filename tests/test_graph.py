@@ -10,9 +10,12 @@ from conftest import random_cactus, random_connected_positive, random_signed, tr
 from resistnet import (
     GraphConstructionError,
     GraphFormatError,
+    NotApplicableError,
+    UncertaintySpec,
     build_graph,
     connected_components,
     component_indicators,
+    disjoint_paths_margin,
     essential_edge_laplacian,
     edge_laplacian,
     forest_left_inverse,
@@ -32,6 +35,7 @@ from resistnet import (
     spanning_forest,
     weighted_cut_matrix,
 )
+from resistnet import graph as gr
 from resistnet.graph import WeightedGraph
 
 TRIANGLE = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
@@ -445,6 +449,41 @@ def test_path_edge_set_matches_networkx_blocks():
             H = G.copy()
             H.add_edge(u, v)
             assert path_edge_set(g, u, v) == block_of(H, index, u, v)
+
+
+def pairwise_first_overlap(supports):
+    """The least (i, j) whose supports intersect, by comparing every pair."""
+    for i, a in enumerate(supports):
+        for j in range(i + 1, len(supports)):
+            if a & supports[j]:
+                return i, j
+    return None
+
+
+def test_first_overlap_names_the_pairwise_loops_pair():
+    # the single-block supports of uncertain edges (disjoint_paths_margin)
+    # and the block-path supports of node pairs (multi_negative_edge_thresholds)
+    rng = np.random.default_rng(41)
+    found = 0
+    for _ in range(60):
+        g, _ = random_cactus(rng, n_cap=int(rng.integers(4, 30)))
+        block, _, _ = g._blocks
+        for _ in range(5):
+            size = int(rng.integers(1, g.edge_count + 1))
+            keys = sorted(int(k) for k in rng.choice(g.edge_count, size, replace=False))
+            pair = pairwise_first_overlap([{block[k]} for k in keys])
+            assert gr._first_overlap([block[k]] for k in keys) == pair
+            if pair is not None:
+                a, b = keys[pair[0]], keys[pair[1]]
+                with pytest.raises(NotApplicableError, match=f"edges {a} and {b} overlap"):
+                    disjoint_paths_margin(g, UncertaintySpec(tuple(keys)))
+            ends = [tuple(int(x) for x in rng.choice(g.node_count, 2, replace=False))
+                    for _ in range(int(rng.integers(1, 6)))]
+            supports = [gr._path_blocks(g, u, v) for u, v in ends]
+            pair_paths = pairwise_first_overlap(supports)
+            assert gr._first_overlap(supports) == pair_paths
+            found += (pair is not None) + (pair_paths is not None)
+    assert found >= 100
 
 
 # -------------------------------------------------------------- balance

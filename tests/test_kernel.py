@@ -28,8 +28,10 @@ from resistnet import (
     effective_resistance,
     generate_rgg,
     laplacian,
+    incidence_matrix,
     lmi_psd_check,
     m11_at_zero,
+    m11_frequency_response,
     multi_negative_edge_thresholds,
     negative_cut_verdict,
     node_pair_resistance_matrix,
@@ -38,6 +40,7 @@ from resistnet import (
     sector_stability_check,
     signature_of,
     single_edge_margin,
+    single_edge_sector_check,
     small_gain_margin,
     spanning_forest,
     spectral_norm,
@@ -257,6 +260,21 @@ def sector_cases(rng):
         yield g, random_subset(rng, others, int(rng.integers(2, len(others) + 1)))
 
 
+def test_single_edge_sector_check_is_the_sector_check_on_one_edge():
+    rng = np.random.default_rng(310)
+    outcomes = []
+    for g, _ in sector_cases(rng):
+        for _ in range(3):
+            e = int(rng.integers(0, g.edge_count))
+            alpha = single_edge_margin(g, e).global_margin * float(rng.uniform(-1.3, 1.3))
+            beta = alpha + float(rng.uniform(0.05, 3.0))
+            spec, sectors = UncertaintySpec((e,)), SectorSpec(((alpha, beta),))
+            stable = sector_stability_check(g, spec, sectors).stable
+            assert single_edge_sector_check(g, e, alpha, beta) is stable
+            outcomes.append(stable)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+
 def test_diagonal_sector_check_matches_dense_eigensolve():
     rng = np.random.default_rng(305)
     outside_min = outside_negative = cases = 0
@@ -287,6 +305,34 @@ def test_diagonal_sector_check_matches_dense_eigensolve():
     assert outside_negative >= 10
 
 
+# ------------------------------------------------- frequency response
+
+
+def forest_form_m11(g, edges, omega):
+    """P^T R^T (j omega I + L_e(F) R W R^T)^{-1} L_e(F) R P from the spanning forest."""
+    f = spanning_forest(g)
+    EF = incidence_matrix(g)[:, list(f.forest_edges)]
+    Le = EF.T @ EF
+    RP = f.cut_matrix[:, list(edges)]
+    lhs = 1j * omega * np.eye(Le.shape[0]) + Le @ weighted_cut_matrix(g, f)
+    return RP.T @ np.linalg.solve(lhs, Le @ RP)
+
+
+def test_m11_frequency_response_matches_forest_form():
+    rng = np.random.default_rng(309)
+    checked = signed = 0
+    for g, edges in sector_cases(rng):
+        for scale in (1e-6, 1.0, 1e6):
+            h = build_graph(g.node_count, [(u, v, scale * w) for u, v, w in g.edges])
+            for omega in (0.0, 1e-9, 1.0, 1e6):
+                ref = forest_form_m11(h, edges, omega)
+                got = m11_frequency_response(h, UncertaintySpec(edges), omega)
+                assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        checked += 1
+        signed += bool(np.any(g.weights < 0))
+    assert checked >= 40 and signed >= 5
+
+
 # ------------------------------------------------------- hot-path guard
 
 
@@ -296,7 +342,8 @@ def test_analysis_never_touches_edge_form(monkeypatch, tmp_path, capsys):
         raise AssertionError("edge-form reference or eigenvector solve called on the analysis path")
 
     for mod, name in ((gr, "spanning_forest"), (gr, "weighted_cut_matrix"),
-                      (gr, "forest_left_inverse"), (sp, "spectral_norm"), (np.linalg, "eigh")):
+                      (gr, "forest_left_inverse"), (gr, "incidence_matrix"),
+                      (sp, "spectral_norm"), (np.linalg, "eigh")):
         monkeypatch.setattr(mod, name, forbidden)
 
     n = 40
@@ -334,6 +381,7 @@ def test_analysis_never_touches_edge_form(monkeypatch, tmp_path, capsys):
             if verdict.classification != "stable_agreement":
                 continue
             spec = UncertaintySpec(tuple(b[0] for b in blocks))
+            m11_frequency_response(h, spec, 0.7)
             worst_single_edge(h)
             small_gain_margin(h, UncertaintySpec(tuple(range(h.edge_count))))
             single_edge_margin(h, 0)

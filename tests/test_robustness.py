@@ -313,6 +313,17 @@ def test_single_edge_sector_check_examples():
     assert not single_edge_sector_check(g, 0, -1.0, 1.0)  # quadratic fails
 
 
+def test_single_edge_sector_check_reads_every_edge_weight():
+    # the negative edge 2 keeps the statement form's minimum at 2 w_2 = -0.6,
+    # off the uncertain edge, so the sector on edge 0 is not certified
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.3)])
+    assert classify_stability(g).classification == "stable_agreement"
+    res = sector_stability_check(g, UncertaintySpec((0,)), SectorSpec(((-0.1, 0.4),)))
+    assert res.gain_condition and not res.quadratic_condition
+    assert res.quadratic_min_eig == pytest.approx(-0.6)
+    assert single_edge_sector_check(g, 0, -0.1, 0.4) is False
+
+
 def test_sector_check_requires_nominal_stability():
     unstable = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.6)])
     with pytest.raises(NominalInstabilityError):

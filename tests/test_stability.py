@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from resistnet import (
     GraphConstructionError,
     MARGINAL,
     STABLE,
+    SingularMatrixError,
     UNSTABLE,
     build_graph,
     classify_stability,
@@ -74,8 +77,11 @@ def test_disconnected_positive_graph_is_stable_with_extra_zeros():
 
 def test_lmi_psd_check_agrees_with_signature():
     rng = np.random.default_rng(73)
-    for _ in range(120):
+    # signed weights spread over 8 decades, so |W_-|^{-1} and W_+ differ by up to 1e8
+    for _ in range(2000):
         g = random_signed(rng)
+        g = build_graph(g.node_count, [(u, v, math.copysign(10.0 ** rng.uniform(-4, 4), w))
+                                       for u, v, w in g.edges])
         psd = classify_stability(g).signature.n_minus == 0
         assert lmi_psd_check(g) == psd
     # positive graphs are PSD by structure; the dense eigensolve agrees,
@@ -92,6 +98,53 @@ def test_lmi_psd_check_agrees_with_signature():
 def test_lmi_boundary_cases():
     assert lmi_psd_check(build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.5)]))
     assert not lmi_psd_check(build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.6)]))
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(3, [(0, 1, 8.465405873191932e-4), (1, 2, -1.3107757390152599e-05)]),
+    build_graph(4, [(0, 1, -2.2677441935858138e-05), (0, 2, 0.012347899967758381),
+                    (1, 3, 0.24237225536583298)]),
+])
+def test_lmi_psd_check_sees_a_negative_cut_at_any_weight_ratio(g):
+    # a negative edge joins two components of G+, so L is indefinite at any
+    # magnitude; one zero cut on a matrix holding both 1/|w_-| and w_+
+    # would call these PSD
+    assert classify_stability(g).classification == UNSTABLE
+    assert lmi_psd_check(g) == (classify_stability(g).signature.n_minus == 0)
+    assert lmi_psd_check(g) is False
+
+
+@pytest.mark.parametrize("w, psd", [(-0.4, True), (-0.5, True), (-0.6, False)])
+def test_lmi_psd_check_on_disconnected_graphs(w, psd):
+    # negative edge inside one of two components: the other one adds zeros only
+    g = build_graph(7, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, w),
+                        (3, 4, 1.0), (3, 5, 2.0), (4, 5, 1.0), (5, 6, 0.5)])
+    assert connected_components(g)[0] == 2
+    assert lmi_psd_check(g) is psd
+    assert lmi_psd_check(g) == (classify_stability(g).signature.n_minus == 0)
+
+
+def test_lmi_psd_check_raises_where_total_resistance_check_does():
+    # weights over 12 decades: the positive subgraph's kernel is sometimes
+    # numerically singular, and both certificates read it through R_-
+    rng = np.random.default_rng(83)
+    raised = 0
+    for _ in range(600):
+        g = random_signed(rng, n_max=10)
+        g = build_graph(g.node_count, [(u, v, math.copysign(10.0 ** rng.uniform(-6, 6), w))
+                                       for u, v, w in g.edges])
+        if connected_components(positive_subgraph(g))[0] != 1:
+            continue
+        outcomes = []
+        for check in (lmi_psd_check, total_resistance_necessary_check):
+            try:
+                check(g)
+                outcomes.append(None)
+            except SingularMatrixError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised += outcomes[0] is not None
+    assert raised >= 5
 
 
 def test_negative_cut_verdict():
