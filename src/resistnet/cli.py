@@ -20,7 +20,6 @@ from dataclasses import asdict
 import numpy as np
 
 from . import graph as gr
-from . import resistance as rs
 from . import robustness as rb
 from . import simulation as sim
 from . import spectral as sp
@@ -71,6 +70,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite, non-negative zero threshold."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"expects a finite non-negative number, got {text!r}")
+    return tol
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged and
@@ -83,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full stability report for a graph file")
     p.add_argument("graph", help="graph JSON file ({nodes, edges:[{u,v,w}]})")
-    p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL, help="zero threshold (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=sp.DEFAULT_TOL, help="zero threshold (default 1e-9)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("margin", help="robustness margins for uncertain edges")
@@ -95,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sector", default=None, metavar="A,B",
                    help="also run the sector check with bounds [A, B] on every uncertain edge")
-    p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL, help="zero threshold (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=sp.DEFAULT_TOL, help="zero threshold (default 1e-9)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("simulate", help="integrate the agreement dynamics")
@@ -112,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="initial state: comma-separated values or 'seed:N' (default seed:0)")
     p.add_argument("--store-every", type=int, default=1, help="keep every k-th sample (default 1)")
     p.add_argument("--out", default="traj.csv", help="trajectory CSV path (default traj.csv)")
-    p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL, help="zero threshold (default 1e-9)")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 
     p = sub.add_parser("repro-sec6",
@@ -417,19 +426,14 @@ def cmd_simulate(args) -> int:
     couplings = _parse_couplings(args.nonlinear)
     x0_vec, x0_seed = _parse_x0(args.x0)
 
-    w = g.weights.copy()
-    for k, d in delta.items():
-        if not (0 <= k < g.edge_count):
-            raise InputError(f"--perturb edge {k} out of range for {g.edge_count} edges")
-        w[k] += d
-    for k in couplings:
-        if not (0 <= k < g.edge_count):
-            raise InputError(f"--nonlinear edge {k} out of range for {g.edge_count} edges")
+    if delta:  # the automatic dt and the run read this graph's one spectrum
+        g = gr._with_weights(g, sim._perturbed_weights(g, delta))
+    edges_sorted = sorted(couplings)
+    coupling = sim.NonlinearCoupling(tuple(couplings[k] for k in edges_sorted)) if couplings else None
     dt = args.dt
     if dt is None:  # the integrators run their own step guards
-        lam_max = float(np.linalg.eigvalsh(gr._laplacian(g.node_count, g.tails, g.heads, w))[-1])
-        slope = max((abs(a) + abs(b * c) for a, b, c in couplings.values()), default=0.0)
-        dt = _auto_dt(lam_max + slope)
+        slope = coupling.slope_bound() if couplings else 0.0
+        dt = _auto_dt(float(g._spectrum[0][-1]) + slope)
 
     config = sim.SimulationConfig(
         duration=args.duration,
@@ -439,12 +443,9 @@ def cmd_simulate(args) -> int:
         store_every=args.store_every,
     )
     if couplings:
-        edges_sorted = sorted(couplings)
-        coupling = sim.NonlinearCoupling(tuple(couplings[k] for k in edges_sorted))
-        perturbed = gr._with_weights(g, w) if delta else g
-        traj = sim.simulate_nonlinear(perturbed, edges_sorted, coupling, config)
+        traj = sim.simulate_nonlinear(g, edges_sorted, coupling, config)
     else:
-        traj = sim.simulate_linear(g, delta, config)
+        traj = sim.simulate_linear(g, None, config)
     sim.write_trajectory_csv(traj, args.out)
 
     outcome, clusters = _outcome(traj)
@@ -500,6 +501,18 @@ def _ends_in_null_space(traj: sim.Trajectory, p: np.ndarray) -> tuple[bool, floa
     return bool(residual <= bound and settled), residual
 
 
+def _spectral_resistances(g: gr.WeightedGraph) -> np.ndarray:
+    """Resistance b_e^T L+ b_e of every edge of a connected graph, from L's spectrum."""
+    lam, V = g._spectrum  # the zero mode, V[:, 0], drops out
+    return ((V[g.tails, 1:] - V[g.heads, 1:]) ** 2) @ (1.0 / lam[1:])
+
+
+def _spectral_potential(g: gr.WeightedGraph, u: int, v: int) -> np.ndarray:
+    """The potential L+ (e_u - e_v) on a connected graph, from L's spectrum."""
+    lam, V = g._spectrum
+    return V[:, 1:] @ ((V[u, 1:] - V[v, 1:]) / lam[1:])
+
+
 def cmd_repro_sec6(args) -> int:
     if args.n < 2:
         raise InputError("repro-sec6 needs at least 2 nodes")
@@ -513,40 +526,39 @@ def cmd_repro_sec6(args) -> int:
     u, v, w_bind = g.edges[k_bind]
     margin = worst.global_margin
 
-    # independent argmax: per-edge resistance from the Laplacian pseudoinverse
-    L = gr.laplacian(g)
-    Lp = rs._laplacian_pinv(g)
-    res_scan = np.array([Lp[a, a] - 2.0 * Lp[a, b] + Lp[b, b] for a, b, _ in g.edges])
-    scan_edge = int(np.argmax(res_scan))
+    # independent argmax: per-edge resistance from L's spectrum, not the kernel
+    scan_edge = int(np.argmax(_spectral_resistances(g)))
     binding_matches_scan = scan_edge == k_bind
 
-    eigvals = np.linalg.eigvalsh(L)
-    lam2 = float(eigvals[1])  # the graph is connected
-    lam_max = float(eigvals[-1])
+    lam2, lam_max = map(float, g._spectrum[0][[1, -1]])  # the graph is connected
     dt = _auto_dt(lam_max)
     x0_seed = args.seed + 1
     out_pair = ((u, v),)
 
-    def run_linear(name: str, delta, duration: float) -> sim.Trajectory:
+    def run(name: str, graph: gr.WeightedGraph, duration: float, triple=None) -> sim.Trajectory:
+        """A linear run on ``graph``, or with ``triple`` coupling the binding edge."""
+        coupling = sim.NonlinearCoupling((triple,)) if triple else None
+        step = _auto_dt(lam_max + coupling.slope_bound()) if triple else dt
         cfg = sim.SimulationConfig(
-            duration=duration, dt=dt, state_seed=x0_seed, output_edges=out_pair,
-            store_every=max(1, int(math.ceil(duration / dt / 1000.0))),
+            duration=duration, dt=step, state_seed=x0_seed, output_edges=out_pair,
+            store_every=max(1, int(math.ceil(duration / step / 1000.0))),
         )
-        traj = sim.simulate_linear(g, delta, cfg)
+        if triple:
+            traj = sim.simulate_nonlinear(graph, [k_bind], coupling, cfg)
+        else:
+            traj = sim.simulate_linear(graph, None, cfg)
         sim.write_trajectory_csv(traj, os.path.join(args.out, name))
         return traj
 
     # nominal, boundary, beyond-margin linear runs
     t_nominal = max(20.0, 40.0 / lam2)
-    traj_nominal = run_linear("nominal.csv", None, t_nominal)
+    traj_nominal = run("nominal.csv", g, t_nominal)
 
-    w_pert = g.weights.copy()
-    w_pert[k_bind] -= margin
     # the exact margin is a rank-one update: by interlacing exactly one more
     # eigenvalue reaches zero (both of them on a 2-node graph)
-    ev_boundary = np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert)))
-    t_boundary = max(20.0, 40.0 / float(ev_boundary[2])) if g.node_count > 2 else 60.0
-    traj_boundary = run_linear("boundary.csv", {k_bind: -margin}, t_boundary)
+    boundary = gr._with_weights(g, sim._perturbed_weights(g, {k_bind: -margin}))
+    t_boundary = max(20.0, 40.0 / float(boundary._spectrum[0][2])) if g.node_count > 2 else 60.0
+    traj_boundary = run("boundary.csv", boundary, t_boundary)
     clusters = sim.detect_clusters(traj_boundary.states[-1])
     # the extra null vector L+ b_e takes two values only across a bridge
     bridge = gr.path_edge_set(g, u, v) == {k_bind}
@@ -554,12 +566,12 @@ def cmd_repro_sec6(args) -> int:
         boundary_key, boundary_ok = "boundary_two_clusters", len(clusters) == 2
     else:
         boundary_key = "boundary_null_space"
-        boundary_ok, null_residual = _ends_in_null_space(traj_boundary, Lp[:, u] - Lp[:, v])
+        boundary_ok, null_residual = _ends_in_null_space(traj_boundary, _spectral_potential(g, u, v))
 
-    w_pert[k_bind] = w_bind - 1.001 * margin
-    lam_neg = float(np.linalg.eigvalsh(gr.laplacian(gr._with_weights(g, w_pert)))[0])
+    beyond = gr._with_weights(g, sim._perturbed_weights(g, {k_bind: -1.001 * margin}))
+    lam_neg = float(beyond._spectrum[0][0])
     t_beyond = 40.0 / abs(lam_neg) if lam_neg < 0 else 2000.0
-    traj_beyond = run_linear("beyond.csv", {k_bind: -1.001 * margin}, t_beyond)
+    traj_beyond = run("beyond.csv", beyond, t_beyond)
 
     # sector-satisfying coupling: sector [-0.9*margin, 0], strictly certified
     a_s = -0.45 * margin
@@ -571,19 +583,8 @@ def cmd_repro_sec6(args) -> int:
     # a=-3 whenever the instance margin allows it)
     a_u = -max(3.0, 1.25 * margin + 1.0)
 
-    def run_nonlinear(name: str, triple, duration: float) -> sim.Trajectory:
-        slope = abs(triple[0]) + abs(triple[1] * triple[2])
-        dt_nl = _auto_dt(lam_max + slope)
-        cfg = sim.SimulationConfig(
-            duration=duration, dt=dt_nl, state_seed=x0_seed, output_edges=out_pair,
-            store_every=max(1, int(math.ceil(duration / dt_nl / 1000.0))),
-        )
-        traj = sim.simulate_nonlinear(g, [k_bind], sim.NonlinearCoupling((triple,)), cfg)
-        sim.write_trajectory_csv(traj, os.path.join(args.out, name))
-        return traj
-
-    traj_nl_stable = run_nonlinear("nonlinear_stable.csv", (a_s, b_s, 1.0), t_nominal)
-    traj_nl_unstable = run_nonlinear("nonlinear_unstable.csv", (a_u, 1.0, 1.0), 400.0)
+    traj_nl_stable = run("nonlinear_stable.csv", g, t_nominal, (a_s, b_s, 1.0))
+    traj_nl_unstable = run("nonlinear_unstable.csv", g, 400.0, (a_u, 1.0, 1.0))
 
     nl_stable_converged = (
         not traj_nl_stable.diverged

@@ -15,6 +15,8 @@ keeps:
   grounded Laplacian pencil (``grounded_eigvals``) and the grounded inverse
   built through the same scaling (``grounded_inverse``); the pencil itself
   is dropped once both exist;
+* one read-only eigendecomposition of L itself (``_spectrum``) for every
+  simulation's step guard and run and the case study's resistance scan;
 * its neighbor lists, shared by the breadth-first search (component labels,
   read-only, and the spanning forest), the block search and the balance
   test;
@@ -202,6 +204,13 @@ class WeightedGraph:
 
         pairs = [self.edges[k][:2] for k in self._signs.negative_edges]
         return node_pair_resistance_matrix(self._positive, pairs)
+
+    @_cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lam, V)`` with L = V diag(lam) V^T, lam ascending, both read-only."""
+        lam, V = np.linalg.eigh(laplacian(self))
+        lam.flags.writeable = V.flags.writeable = False
+        return lam, V
 
     @_cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -525,7 +534,7 @@ def signed_partition(g: WeightedGraph) -> SignedPartition:
 
 
 def _with_weights(g: WeightedGraph, weights: Sequence[float]) -> WeightedGraph:
-    """The same edges with new weights, for Laplacian assembly only.
+    """The same edges with new weights, for L and its spectrum only.
 
     Unlike ``build_graph`` it keeps zero weights (the edge drops out of L).
     """

@@ -232,24 +232,28 @@ def _check_step(dt: float, rate: float) -> None:
 
 
 def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
-    w = g.weights.copy()
-    if delta is None:
-        return w
+    """Weights w + delta, delta a dict {edge index: change} or a length-m vector."""
     if isinstance(delta, dict):
-        for k, d in delta.items():
+        d = np.zeros(g.edge_count)
+        for k, change in delta.items():
             k = int(k)
             if not (0 <= k < g.edge_count):
                 raise GraphConstructionError(
                     f"perturbed edge index {k} out of range for {g.edge_count} edges"
                 )
-            w[k] += float(d)
-        return w
-    d = np.asarray(delta, dtype=float)
-    if d.shape != (g.edge_count,):
-        raise GraphConstructionError(
-            f"perturbation vector has shape {d.shape}, expected ({g.edge_count},)"
-        )
-    return w + d
+            d[k] += float(change)
+    else:
+        d = np.asarray(delta, dtype=float)
+        if d.shape != (g.edge_count,):
+            raise GraphConstructionError(
+                f"perturbation vector has shape {d.shape}, expected ({g.edge_count},)"
+            )
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        w = g.weights + d
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise GraphConstructionError(f"perturbed weight of edge {bad[0]} is not finite ({w[bad[0]]})")
+    return w
 
 
 def _trajectory(keep, states, pairs, dt: float, diverged_at: float | None) -> Trajectory:
@@ -410,17 +414,19 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
 
     ``delta`` is None, a dict {edge index: additive perturbation}, or a full
     length-m vector; perturbed weights may pass through zero (the edge
-    simply drops out of the dynamics).  Raises StepSizeError when
-    dt >= 2/lambda_max(L).  One eigendecomposition of L serves the step
-    guard and the run: zero-input runs are evaluated in closed form
-    (:func:`_run_modal`), runs with an input apply the exact RK4 step map
-    to the modal coordinates (:func:`_run_forced`), reading the input 3
-    times per step.  Both agree with the node-space RK4 loop to rounding,
-    not bit for bit.
+    simply drops out of the dynamics; a non-finite one raises
+    GraphConstructionError).  Raises StepSizeError when dt >= 2/lambda_max(L).
+    The cached eigendecomposition of L (``g._spectrum``, or that of a copy
+    of g with the perturbed weights) serves the step guard and the run:
+    zero-input runs are evaluated in closed form (:func:`_run_modal`), runs
+    with an input apply the exact RK4 step map to the modal coordinates
+    (:func:`_run_forced`), reading the input 3 times per step.  Both agree
+    with the node-space RK4 loop to rounding, not bit for bit.
     """
-    L = gr._laplacian(g.node_count, g.tails, g.heads, _perturbed_weights(g, delta))
-    lam, V = np.linalg.eigh(L)
-    _check_step(config.dt, float(lam[-1]) if lam.size else 0.0)
+    if delta is not None:
+        g = gr._with_weights(g, _perturbed_weights(g, delta))
+    lam, V = g._spectrum
+    _check_step(config.dt, float(lam[-1]))
     x0 = _resolve_initial_state(g, config)
     pairs = _output_pairs(g, config)
     if config.exogenous_input is None:
@@ -438,7 +444,7 @@ def simulate_nonlinear(
 
     ``uncertain_edges`` are distinct edge indices (sorted internally);
     coupling triples align with the sorted order.  The step guard adds the
-    couplings' maximum sector slope to lambda_max(L).
+    couplings' maximum sector slope to lambda_max(L) from ``g._spectrum``.
     """
     edges = sorted(set(int(k) for k in uncertain_edges))
     if len(edges) != len(uncertain_edges):
@@ -461,8 +467,7 @@ def simulate_nonlinear(
     cols = np.arange(len(edges))
     Ed[g.tails[edges], cols] = 1.0
     Ed[g.heads[edges], cols] = -1.0
-    lam_max = float(np.linalg.eigvalsh(L)[-1])
-    _check_step(config.dt, lam_max + coupling.slope_bound())
+    _check_step(config.dt, float(g._spectrum[0][-1]) + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)
     pairs = _output_pairs(g, config)
     v = config.exogenous_input

@@ -201,3 +201,15 @@ def test_block_cut_tree_supports_match_virtual_edge_blocks():
         verdicts.add(res.applicable)
     assert verdicts == {True, False}
     assert pairs > 3000
+
+
+def test_laplacian_spectrum_is_cached_and_read_only():
+    g = triangle_chain(3)
+    lam, V = g._spectrum
+    assert g._spectrum[0] is lam and g._spectrum[1] is V
+    for a in (lam, V):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    L = gr.laplacian(g)
+    assert np.allclose(V @ np.diag(lam) @ V.T, L, atol=1e-12)
+    assert np.allclose(lam, np.linalg.eigvalsh(L), atol=1e-12)

@@ -335,10 +335,11 @@ def test_usage_error_exits_1(capsys):
 
 
 def count_eigensolves(monkeypatch):
+    """Records ``(name, shape)`` of every eigensolve and dense inverse numpy makes."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(A, *args, solve=getattr(np.linalg, name), **kwargs):
-            calls.append(np.shape(A))
+    for name in ("eigh", "eigvalsh", "inv"):
+        def counting(A, *args, solve=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append((name, np.shape(A)))
             return solve(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -346,16 +347,47 @@ def count_eigensolves(monkeypatch):
 
 
 def test_simulate_with_dt_eigensolves_once(capsys, tmp_path, triangle_file, monkeypatch):
-    # the automatic step needs lambda_max; a given --dt leaves only the
-    # integrator's own step guard
+    # with or without --dt, one eigh of the (perturbed) Laplacian serves the
+    # automatic step, the integrator's step guard and a linear run
     calls = count_eigensolves(monkeypatch)
     out_csv = str(tmp_path / "traj.csv")
-    for extra in ((), ("--perturb", "0=0.5"), ("--nonlinear", "1=-0.2,0.1,1")):
-        calls.clear()
-        code, _, _ = run(capsys, "simulate", triangle_file, "--dt", "0.01",
-                         "--out", out_csv, *extra)
-        assert code == 0
-        assert calls == [(3, 3)], extra
+    for dt in (("--dt", "0.01"), ()):
+        for extra in ((), ("--perturb", "0=0.5"), ("--nonlinear", "1=-0.2,0.1,1"),
+                      ("--perturb", "0=0.5", "--nonlinear", "1=-0.2,0.1,1")):
+            calls.clear()
+            code, _, _ = run(capsys, "simulate", triangle_file, "--out", out_csv, *dt, *extra)
+            assert code == 0
+            assert calls == [("eigh", (3, 3))], (dt, extra)
+
+
+@pytest.mark.parametrize("delta", [("0=nan",), ("0=inf",), ("1=-inf",), ("0=1e308", "0=1e308")])
+def test_simulate_non_finite_perturbed_weight_exit_1(capsys, tmp_path, triangle_file, delta):
+    argv = ["simulate", triangle_file, "--out", str(tmp_path / "traj.csv")]
+    for item in delta:
+        argv += ["--perturb", item]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("resistnet: error: perturbed weight of edge") and "not finite" in err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "margin"])
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf", "abc"])
+def test_bad_tol_exit_1(capsys, triangle_file, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([command, triangle_file, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and not captured.out
+    assert "argument --tol: expects a finite non-negative number" in captured.err
+
+
+def test_tol_zero_is_accepted_and_simulate_has_no_tol(capsys, tmp_path, triangle_file):
+    assert run(capsys, "analyze", triangle_file, "--tol", "0")[0] == 0
+    assert run(capsys, "margin", triangle_file, "--tol=0")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", triangle_file, "--tol", "1e-9", "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_simulate_automatic_dt(capsys, tmp_path):
@@ -589,6 +621,39 @@ def test_repro_non_bridge_binding_edge_ends_in_null_space(capsys, tmp_path, n, r
     boundary = report["runs"]["boundary"]
     assert boundary["cluster_count"] > 2
     assert boundary["null_space_residual"] <= 2 * cli._NULL_SPACE_RTOL
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, radius, seed", [(12, 0.4, 6), (40, 0.3, 2)])
+def test_repro_eigendecomposes_three_weight_vectors(capsys, tmp_path, monkeypatch, n, radius, seed):
+    # one eigh per weight vector (nominal, boundary, beyond) serves the scan,
+    # every run's step and guard and the null vector; no n x n inverse
+    calls = count_eigensolves(monkeypatch)
+    code = main(["repro-sec6", "--n", str(n), "--radius", str(radius), "--seed", str(seed),
+                 "--out", str(tmp_path / "r")])
+    assert code == 0 and "7/7 hold" in capsys.readouterr().out
+    assert [c for c in calls if c[1] == (n, n)] == [("eigh", (n, n))] * 3
+
+
+def test_spectral_scan_matches_pseudoinverse():
+    # the scan and the null vector read L's cached spectrum; the n x n inverse
+    # they replaced is the oracle
+    compared = 0
+    for seed in range(50):
+        n = 8 + seed
+        g = resistnet.generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed)
+        Lp = rs._laplacian_pinv(g)
+        want = Lp[g.tails, g.tails] - 2.0 * Lp[g.tails, g.heads] + Lp[g.heads, g.heads]
+        got = cli._spectral_resistances(g)
+        assert np.max(np.abs(got - want) / want) <= 1e-10, seed
+        for u, v, _ in g.edges[:: max(1, g.edge_count // 5)]:
+            p = Lp[:, u] - Lp[:, v]
+            assert np.max(np.abs(cli._spectral_potential(g, u, v) - p)) <= 1e-10 * np.abs(p).max()
+        top2 = np.sort(want)[-2:]
+        if top2[1] - top2[0] > 1e-9 * top2[1]:
+            compared += 1
+            assert np.argmax(got) == np.argmax(want), seed
+    assert compared >= 45
 
 
 def boundary_run(n, radius, seed):

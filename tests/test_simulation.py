@@ -172,6 +172,19 @@ def test_perturbation_forms_agree():
         simulate_linear(TRIANGLE, {7: 1.0}, config())
 
 
+@pytest.mark.parametrize("delta", [
+    {0: np.nan}, {1: np.inf}, {2: -np.inf}, {0: 1.0, 2: 1e308},
+    np.array([0.0, np.nan, 0.0]), np.array([0.0, 1.7e308, 0.0]),
+])
+def test_non_finite_perturbed_weight_is_refused(delta):
+    # an eigensolve of a Laplacian with a nan or inf entry does not converge;
+    # the perturbed weights are refused before it is built, an overflowing
+    # sum without a RuntimeWarning
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.7e308), (1, 2, 1e308)])
+    with pytest.raises(GraphConstructionError, match="not finite"):
+        simulate_linear(g, delta, config())
+
+
 def test_exogenous_input_drives_state():
     v = burst_input(3, [0], 1.0, 0.0, 1.0)
     traj = simulate_linear(TRIANGLE, None, config(duration=2.0, initial_state=[0.0] * 3,
