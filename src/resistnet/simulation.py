@@ -7,10 +7,14 @@ the RK4 polynomial, so the stored states come in closed form from one
 eigendecomposition, whatever the step count.  With an input, each step is
 the exact RK4 step map applied mode by mode to the modal coordinates, the
 input projected onto the modes a chunk of steps at a time.  Nonlinear runs
-step RK4 on the node states one step at a time; they add edgewise couplings
-phi(y) = a y + b sin(c y) on selected edges:
+add edgewise couplings phi(y) = a y + b sin(c y) on k selected edges:
 
     xdot = -L x - E_delta phi(E_delta^T x) + v(t).
+
+They take RK4 steps one at a time in the same eigenbasis; the couplings
+enter only through the k rows of E_delta^T V, so a step costs O(k n), not
+a dense n x n product.  Every path agrees with the node-space RK4 loop to
+rounding, not bit for bit.
 
 A run is flagged divergent the first time ||x|| exceeds 1e9 (1 + ||x(0)||)
 and the trajectory ends there.  All randomness (initial states, geometric
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,8 +50,8 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 1e9
 CLUSTER_TOL = 1e-4
-# input sample values a forced linear run holds at once: its steps are
-# sampled and projected onto L's eigenbasis in chunks of this many values
+# input sample values a forced run holds at once: its steps are sampled
+# and projected onto L's eigenbasis in chunks of this many values
 _CHUNK_VALUES = 1 << 15
 
 _MASK = (1 << 64) - 1
@@ -268,12 +273,6 @@ def _limits(x0: np.ndarray, config: SimulationConfig) -> tuple[int, float]:
     return steps, DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
 
 
-def _check_sample(t: float, sample, n: int) -> None:
-    shape = np.shape(sample)
-    if shape != (n,):
-        raise InputError(f"exogenous input at t = {t!r} has shape {shape}, expected ({n},)")
-
-
 def _sample_input(v: Callable[[float], np.ndarray], times: np.ndarray, n: int) -> np.ndarray:
     """Rows v(t) for the given times, each checked to be a length-n vector."""
     times = times.tolist()
@@ -284,37 +283,23 @@ def _sample_input(v: Callable[[float], np.ndarray], times: np.ndarray, n: int) -
         U = None
     if U is None or U.shape != (len(times), n):
         for t, sample in zip(times, samples):
-            _check_sample(t, sample, n)
+            if np.shape(sample) != (n,):
+                raise InputError(f"exogenous input at t = {t!r} has shape {np.shape(sample)}, expected ({n},)")
         raise InputError("exogenous input returned non-numeric values")
     return U
 
 
-def _run(deriv: Callable[[float, np.ndarray], np.ndarray], x0: np.ndarray, pairs,
-         config: SimulationConfig) -> Trajectory:
-    """Fixed-step RK4 loop on deriv (nonlinear runs); stops at the first step
-    past the divergence threshold."""
-    dt = config.dt
-    steps, threshold = _limits(x0, config)
-    keep: list[int] = [0]
-    rows: list[np.ndarray] = [x0]
-    x = x0
-    diverged_at = None
-    for k in range(1, steps + 1):
+def _input_chunks(v: Callable[[float], np.ndarray], V: np.ndarray, steps: int, dt: float):
+    """Steps k = 1..steps a chunk at a time, with V^T v at each step's stage
+    times t = (k-1) h, t + h/2 and t + h, computed as the node-space loop
+    computes them, so an input's breakpoints fall on the same side."""
+    n = V.shape[0]
+    chunk = max(1, _CHUNK_VALUES // (3 * max(n, 1)))
+    for start in range(0, steps, chunk):
+        k = np.arange(start + 1, min(start + chunk, steps) + 1)
         t = (k - 1) * dt
-        k1 = deriv(t, x)
-        k2 = deriv(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = deriv(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # a NaN or inf entry fails the comparison too
-        blown = not math.sqrt(x.dot(x)) <= threshold
-        if blown or k == steps or k % config.store_every == 0:
-            keep.append(k)
-            rows.append(x)
-        if blown:
-            diverged_at = k * dt
-            break
-    return _trajectory(keep, np.vstack(rows), pairs, dt, diverged_at)
+        U = _sample_input(v, np.concatenate((t, t + 0.5 * dt, t + dt)), n)
+        yield k, (U @ V).reshape(3, -1, n)
 
 
 def _run_modal(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: SimulationConfig) -> Trajectory:
@@ -358,38 +343,36 @@ def _run_modal(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: Si
     return _trajectory(keep, states, pairs, dt, diverged_at)
 
 
+def _rk4_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """p(z), h/6 and the input weights g1, g2 of one RK4 step on the modes z = -h lam."""
+    z = -h * lam
+    p = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    h6 = h / 6.0
+    g1 = h6 * (1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
+    g2 = h6 * (4.0 + z * (2.0 + z / 2.0))
+    return p, h6, g1, g2
+
+
 def _run_forced(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, v: Callable[[float], np.ndarray],
                 pairs, config: SimulationConfig) -> Trajectory:
     """RK4 on xdot = -L x + v(t) in L's eigenbasis (L = V diag(lam) V^T).
 
     With z = -h lam, one RK4 step maps each modal coordinate of c = V^T x
     to p(z) c + (h/6) [(1 + z + z^2/2 + z^3/4) u1 + (4 + 2z + z^2/2) u2 + u4],
-    where u1, u2 and u4 are V^T v at the step's stage times t = (k-1) h,
-    t + h/2 and t + h, computed as the node-space loop computes them, so an
-    input's breakpoints fall on the same side.  The input is sampled and
-    projected a chunk of steps at a time.  The run diverges at the first
-    step where ||c|| = ||x|| exceeds the threshold or is not finite.
+    where u1, u2 and u4 are V^T v at the step's stage times
+    (:func:`_input_chunks`).  The run diverges at the first step where
+    ||c|| = ||x|| exceeds the threshold or is not finite.
     """
     dt = config.dt
     steps, threshold = _limits(x0, config)
-    n = x0.size
-    z = -dt * lam
-    p = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    h6 = dt / 6.0
-    g1 = h6 * (1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
-    g2 = h6 * (4.0 + z * (2.0 + z / 2.0))
-    chunk = max(1, _CHUNK_VALUES // (3 * max(n, 1)))
+    p, h6, g1, g2 = _rk4_weights(lam, dt)
     c = V.T @ x0
     keep = [np.zeros(1, dtype=int)]
     rows = [c[None, :]]
     diverged_at = None
     # past the divergence step a chunk may overflow; those steps are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, chunk):
-            k = np.arange(start + 1, min(start + chunk, steps) + 1)
-            t = (k - 1) * dt
-            U = _sample_input(v, np.concatenate((t, t + 0.5 * dt, t + dt)), n)
-            u1, u2, u4 = (U @ V).reshape(3, -1, n)
+        for k, (u1, u2, u4) in _input_chunks(v, V, steps, dt):
             C = g1 * u1 + g2 * u2 + h6 * u4
             for row in C:  # the step's forcing, then its modal state
                 row += p * c
@@ -407,6 +390,80 @@ def _run_forced(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, v: Callable[[flo
         states = np.vstack(rows) @ V.T
         states[0] = x0
         return _trajectory(np.concatenate(keep), states, pairs, dt, diverged_at)
+
+
+def _run_coupled(lam: np.ndarray, V: np.ndarray, ends, coupling: NonlinearCoupling, x0: np.ndarray,
+                 v: Callable[[float], np.ndarray] | None, pairs, config: SimulationConfig) -> Trajectory:
+    """RK4 on xdot = -L x - E phi(E^T x) + v(t) in L's eigenbasis (L = V diag(lam) V^T).
+
+    The couplings see c = V^T x only through the k x n Ch = E^T V, rows
+    V[u] - V[v] over the uncertain edges' ``ends`` (tails, heads).  With
+    a = -lam, z = h a, b = -Ch^T, s_i = Ch (a^i c), M_i = Ch diag(a^i) b and
+    phi_j = phi(y_j), the stage arguments are
+
+        y1 = s0
+        y2 = s0 + (h/2) (s1 + M0 phi1)
+        y3 = s0 + (h/2) s1 + (h^2/4) (s2 + M1 phi1) + (h/2) M0 phi2
+        y4 = s0 + h s1 + (h^2/2) s2 + (h^3/4) (s3 + M2 phi1) + (h^2/2) M1 phi2 + h M0 phi3
+
+    and the step maps c to p(z) c + (h/6) [(1 + z + z^2/2 + z^3/4) b phi1 +
+    (2 + z + z^2/2) b phi2 + (2 + z) b phi3 + b phi4], plus
+    :func:`_run_forced`'s forcing when there is an input, whose u1 enters
+    the y_j as b phi1 does and u2 as b phi2 and b phi3 together.  The run
+    diverges at the first step where ||c|| = ||x|| exceeds the threshold or
+    is not finite.
+    """
+    h = config.dt
+    steps, threshold = _limits(x0, config)
+    p, h6, g1, g2 = _rk4_weights(lam, h)
+    z = -h * lam
+    Ch = V[ends[0]] - V[ends[1]]
+    b = -Ch.T
+
+    def stack(*weights):  # rows Ch diag(w) for each weight
+        return np.vstack([Ch * w for w in weights])
+
+    P = stack(1.0, 1.0 + z / 2.0, 1.0 + z / 2.0 * (1.0 + z / 2.0), 1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
+    W1 = stack(h / 2.0, h * z / 4.0, h * z * z / 4.0)  # phi1 and u1 into y2, y3, y4
+    K1, K2, K3 = W1.dot(b), stack(h / 2.0, h * z / 2.0).dot(b), stack(h).dot(b)  # phi_j into y_j+1..y4
+    B = np.hstack([b * w[:, None] for w in (g1, h6 * (2.0 + z * (1.0 + z / 2.0)), h6 * (2.0 + z))] + [h6 * b])
+    if v is None:
+        stages = zip(range(1, steps + 1), repeat(None), repeat(None))
+    else:
+        W2 = stack(0.0, h / 2.0, h * (1.0 + z / 2.0))  # u2 into y2, y3, y4
+        stages = (row for ks, (u1, u2, u4) in _input_chunks(v, V, steps, h)
+                  for row in zip(ks.tolist(), u1.dot(W1.T) + u2.dot(W2.T), g1 * u1 + g2 * u2 + h6 * u4))
+    k = len(Ch)
+    s = np.empty(4 * k)
+    y1, y2, y3, y4 = s[:k], s[k:2 * k], s[2 * k:3 * k], s[3 * k:]
+    after1, after2 = s[k:], s[2 * k:]
+    c = V.T @ x0
+    keep, rows = [0], [c]
+    diverged_at = None
+    for step, y_in, forcing in stages:
+        P.dot(c, out=s)
+        if y_in is not None:
+            after1 += y_in
+        phi1 = coupling(y1)
+        after1 += K1.dot(phi1)
+        phi2 = coupling(y2)
+        after2 += K2.dot(phi2)
+        phi3 = coupling(y3)
+        y4 += K3.dot(phi3)
+        c = p * c + B.dot(np.concatenate((phi1, phi2, phi3, coupling(y4))))
+        if forcing is not None:
+            c += forcing
+        # a NaN or inf entry fails the comparison too
+        blown = not math.sqrt(c.dot(c)) <= threshold
+        if blown or step == steps or step % config.store_every == 0:
+            keep.append(step)
+            rows.append(c)
+        if blown:
+            diverged_at = step * h
+            break
+    states = np.vstack(rows) @ V.T
+    states[0] = x0
+    return _trajectory(keep, states, pairs, h, diverged_at)
 
 
 def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Trajectory:
@@ -440,11 +497,16 @@ def simulate_nonlinear(
     coupling: NonlinearCoupling,
     config: SimulationConfig,
 ) -> Trajectory:
-    """Integrate xdot = -L x - E_delta phi(E_delta^T x) + v(t).
+    """Integrate xdot = -L x - E_delta phi(E_delta^T x) + v(t) with fixed-step RK4 in L's eigenbasis.
 
     ``uncertain_edges`` are distinct edge indices (sorted internally);
-    coupling triples align with the sorted order.  The step guard adds the
-    couplings' maximum sector slope to lambda_max(L) from ``g._spectrum``.
+    coupling triples align with the sorted order.  The cached
+    eigendecomposition ``g._spectrum`` serves the step guard, which adds the
+    couplings' maximum sector slope to lambda_max(L) (StepSizeError when
+    dt >= 2 / (lambda_max + slope)), and the run, which applies the exact
+    RK4 step map to the modal coordinates (:func:`_run_coupled`), reading
+    an input 3 times per step.  It agrees with the node-space RK4 loop to
+    rounding, not bit for bit.
     """
     edges = sorted(set(int(k) for k in uncertain_edges))
     if len(edges) != len(uncertain_edges):
@@ -459,29 +521,12 @@ def simulate_nonlinear(
             f"need one coupling per uncertain edge: got {len(coupling.params)} "
             f"couplings for {len(edges)} edges"
         )
-    L = gr.laplacian(g)
-    # the uncertain edges' incidence columns, scattered from tails and heads
-    # without the n x m matrix; in Fortran order, the layout of the gather
-    # E[:, edges], so a node's couplings sum in that order, bit for bit
-    Ed = np.zeros((g.node_count, len(edges)), order="F")
-    cols = np.arange(len(edges))
-    Ed[g.tails[edges], cols] = 1.0
-    Ed[g.heads[edges], cols] = -1.0
-    _check_step(config.dt, float(g._spectrum[0][-1]) + coupling.slope_bound())
+    lam, V = g._spectrum
+    _check_step(config.dt, float(lam[-1]) + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)
     pairs = _output_pairs(g, config)
-    v = config.exogenous_input
-
-    if v is None:
-        def deriv(t: float, x: np.ndarray) -> np.ndarray:
-            return -(L @ x) - Ed @ coupling(Ed.T @ x)
-    else:
-        _check_sample(0.0, v(0.0), g.node_count)
-
-        def deriv(t: float, x: np.ndarray) -> np.ndarray:
-            return -(L @ x) - Ed @ coupling(Ed.T @ x) + v(t)
-
-    return _run(deriv, x0, pairs, config)
+    return _run_coupled(lam, V, (g.tails[edges], g.heads[edges]), coupling, x0,
+                        config.exogenous_input, pairs, config)
 
 
 def detect_clusters(values: Sequence[float] | np.ndarray, tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:

@@ -6,6 +6,7 @@ Zero classification is relative: an eigenvalue counts as zero when
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
 
 
 def _zero_cut(eigvals: np.ndarray, tol: float) -> float:
+    """The zero threshold; every public ``tol`` is checked here."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
     if eigvals.size == 0:
         return tol
     return tol * max(1.0, float(np.max(np.abs(eigvals))))

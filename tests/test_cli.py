@@ -481,6 +481,18 @@ def test_parser_reuse_leaks_no_defaults(capsys, tmp_path, triangle_file):
     assert out_csv.read_bytes() == in_process
 
 
+def test_python_dash_m_resistnet_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(resistnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "resistnet", "--help"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: resistnet")
+    missing = subprocess.run([sys.executable, "-m", "resistnet", "analyze", str(tmp_path / "none.json")],
+                             capture_output=True, text=True, env=env, check=False)
+    assert missing.returncode == 1 and "No such file" in missing.stderr
+
+
 # ------------------------------------------------------------------ report
 
 

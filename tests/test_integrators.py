@@ -3,10 +3,10 @@
 ``reference_run`` is the plain fixed-step loop: zero-input linear runs apply
 the exact RK4 step map Phi = I - hL + (hL)^2/2 - (hL)^3/6 + (hL)^4/24 once
 per step, other runs take RK4 steps on their derivative, and outputs come
-from a dense output incidence matrix.  The linear paths, which run in L's
-eigenbasis (zero-input runs in closed form, forced runs by the modal RK4
-step map), must agree with it to rounding; the nonlinear RK4 path and the
-CSV writer must agree with it bit for bit.
+from a dense output incidence matrix.  Every integrator path runs in L's
+eigenbasis (zero-input linear runs in closed form, forced linear and coupled
+runs by the modal RK4 step map) and must agree with it to rounding; the CSV
+writer must agree with its per-value reference bit for bit.
 """
 
 import math
@@ -112,14 +112,6 @@ def reference_nonlinear(g, edges, params, config):
             y = Ed.T @ x
             return -(L @ x) - Ed @ (a * y + b * np.sin(c * y)) + v(t)
     return reference_run(deriv, None, x0, Eo, config)
-
-
-def assert_identical(got, want):
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.states, want.states)
-    assert np.array_equal(got.outputs, want.outputs)
-    assert got.diverged == want.diverged
-    assert got.diverged_at == want.diverged_at
 
 
 def assert_agrees(got, want, tag):
@@ -286,7 +278,7 @@ def test_forced_linear_memory_is_set_by_the_chunk():
     assert peak < 0.05 * steps * n * 8
 
 
-def test_rk4_nonlinear_matches_reference_bit_for_bit():
+def test_rk4_nonlinear_matches_reference():
     for seed, g, x0, dt, pairs in rk4_cases():
         edges = [0, 2]
         report = worst_single_edge(g)
@@ -298,14 +290,12 @@ def test_rk4_nonlinear_matches_reference_bit_for_bit():
                 cfg = SimulationConfig(duration=3.0, dt=dt_nl, initial_state=x0,
                                        exogenous_input=v, output_edges=out, store_every=3)
                 got = simulate_nonlinear(g, edges, coupling, cfg)
-                assert_identical(got, reference_nonlinear(g, edges, params, cfg))
+                assert_agrees(got, reference_nonlinear(g, edges, params, cfg), (seed, params, out))
 
 
 @pytest.mark.parametrize("seed", [18, 27])
-def test_rk4_many_edge_coupling_matches_reference_bit_for_bit(seed):
-    # nodes that touch several coupled edges sum their couplings in the order
-    # the incidence columns' layout gives; these cases differ in the last bit
-    # when the columns are laid out row-major instead of as E[:, edges]
+def test_rk4_many_edge_coupling_matches_reference(seed):
+    # nodes that touch several coupled edges sum several couplings
     n = 10 + seed % 7
     g = generate_rgg(n, 0.9, 300 + seed)
     rng = np.random.default_rng(seed)
@@ -314,8 +304,59 @@ def test_rk4_many_edge_coupling_matches_reference_bit_for_bit(seed):
     coupling = NonlinearCoupling(params)
     dt = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
     cfg = SimulationConfig(duration=2.0, dt=dt, initial_state=seeded_x0(n, seed), store_every=2)
-    assert_identical(simulate_nonlinear(g, edges, coupling, cfg),
-                     reference_nonlinear(g, edges, params, cfg))
+    assert_agrees(simulate_nonlinear(g, edges, coupling, cfg),
+                  reference_nonlinear(g, edges, params, cfg), seed)
+
+
+def test_rk4_coupled_input_breakpoints_match_reference():
+    # input switches on a stage time t + dt/2, at a step time whose float
+    # sum (k-1) dt + dt falls below k dt, and off the step grid
+    for seed, g, x0, _, pairs in rk4_cases():
+        n = g.node_count
+        rng = np.random.default_rng(seed)
+        coupling = NonlinearCoupling(((-0.3, 0.2, 1.0), (0.1, -0.4, 2.0)))
+        dt_nl = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
+        k = next(k for k in range(2, 300) if (k - 1) * dt_nl + dt_nl < k * dt_nl)
+        inputs = {
+            "on stage": burst_input(n, [1, n - 1], -2.0, 2 * dt_nl + 0.5 * dt_nl, k * dt_nl),
+            "off-grid": table_input([0.0123, 0.3377 + dt_nl / 3, 0.911], rng.normal(size=(3, n))),
+        }
+        for name, v in inputs.items():
+            cfg = SimulationConfig(duration=1.5, dt=dt_nl, initial_state=x0, exogenous_input=v,
+                                   output_edges=pairs, store_every=4)
+            got = simulate_nonlinear(g, [0, 2], coupling, cfg)
+            assert_agrees(got, reference_nonlinear(g, [0, 2], coupling.params, cfg), (seed, name))
+
+
+def test_rk4_coupled_step_halving_is_fourth_order():
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    coupling = NonlinearCoupling(((-0.45, 0.45, 2.0),))
+
+    def end_state(dt):
+        cfg = SimulationConfig(duration=2.0, dt=dt, initial_state=[1.0, 0.0, -1.0], store_every=10 ** 9)
+        return simulate_nonlinear(g, [0], coupling, cfg).states[-1]
+
+    ref = end_state(0.05 / 16)
+    ratio = np.linalg.norm(end_state(0.05) - ref) / np.linalg.norm(end_state(0.025) - ref)
+    assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2, ratio
+
+
+def test_coupled_memory_is_set_by_the_chunk():
+    """A long coupled run with an input holds its stored rows and a chunk of samples."""
+    n, steps = 100, 20_000
+    g = generate_rgg(n, 0.25, seed=3)
+    coupling = NonlinearCoupling(((-0.2, 0.1, 1.0),))
+    v = burst_input(n, [0, 1], 1.0, 10.0, 20.0)
+    config = SimulationConfig(duration=steps * 0.002, dt=0.002, state_seed=1, exogenous_input=v,
+                              store_every=1000)
+    tracemalloc.start()
+    try:
+        traj = simulate_nonlinear(g, [0], coupling, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 21 and not traj.diverged
+    assert peak < 0.1 * steps * n * 8
 
 
 def test_nonlinear_runs_never_form_an_n_by_m_incidence():
@@ -340,7 +381,7 @@ def test_rk4_divergence_matches_reference():
     cfg = SimulationConfig(duration=200.0, dt=0.005, initial_state=[0.3, -0.1, 0.5])
     got = simulate_nonlinear(g, [0], coupling, cfg)
     assert got.diverged
-    assert_identical(got, reference_nonlinear(g, [0], coupling.params, cfg))
+    assert_agrees(got, reference_nonlinear(g, [0], coupling.params, cfg), "diverged")
 
 
 # ------------------------------------------------------------------ CSV

@@ -224,6 +224,28 @@ def test_linear_input_checked_in_every_chunk():
         simulate_linear(TRIANGLE, None, config(duration=20.0, dt=1e-3, exogenous_input=v))
 
 
+def test_coupled_input_read_once_per_stage_time():
+    times = []
+    burst = burst_input(3, [0], 1.0, 0.0, 0.5)
+
+    def v(t):
+        times.append(t)
+        return burst(t)
+
+    coupling = NonlinearCoupling(((-0.2, 0.1, 1.0),))
+    simulate_nonlinear(TRIANGLE, [0], coupling, config(duration=1.0, dt=0.01, exogenous_input=v))
+    assert len(times) == 300
+    assert sorted(times)[:6] == [0.0, 0.005, 0.01, 0.01, 0.015, 0.02]
+
+
+def test_coupled_input_checked_in_every_chunk():
+    good = np.ones(3)
+    v = lambda t: good if t < 5.0 else 0.0  # noqa: E731
+    coupling = NonlinearCoupling(((-0.2, 0.1, 1.0),))
+    with pytest.raises(InputError, match=r"at t = 5\.0 has shape \(\)"):
+        simulate_nonlinear(TRIANGLE, [0], coupling, config(duration=20.0, dt=1e-3, exogenous_input=v))
+
+
 @pytest.mark.parametrize("length", [4, 1])
 def test_nonlinear_input_of_wrong_length_is_refused(length):
     v = burst_input(length, [0], 1.0, 0.0, 1.0)
