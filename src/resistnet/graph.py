@@ -542,6 +542,11 @@ def _with_weights(g: WeightedGraph, weights: Sequence[float]) -> WeightedGraph:
     return WeightedGraph(g.node_count, edges)
 
 
+def _are_indices(values) -> bool:
+    """True when every value is an int or a numpy integer; a bool is not an index."""
+    return all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values)))
+
+
 def _edge_subgraph(g: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
     return WeightedGraph(g.node_count, tuple(g.edges[k] for k in keep))
 

@@ -61,27 +61,19 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class UncertaintySpec:
-    """Uncertain edge set E_delta plus a magnitude bound on the perturbation.
-
-    ``uncertain_edges`` holds distinct edge indices (stored sorted);
-    ``bound`` is the nonnegative magnitude the perturbations are allowed to
-    reach (0 means the set is only being analyzed, not bounded yet).
-    """
+    """Uncertain edge set E_delta: distinct integer edge indices, stored sorted."""
 
     uncertain_edges: tuple[int, ...]
-    bound: float = 0.0
 
     def __post_init__(self):
+        if not gr._are_indices(self.uncertain_edges):
+            raise GraphConstructionError(f"UncertaintySpec edges must be integers, got {self.uncertain_edges!r}")
         edges = tuple(sorted(map(int, self.uncertain_edges)))
         if not edges:
             raise GraphConstructionError("UncertaintySpec needs at least one uncertain edge")
         if len(set(edges)) != len(edges):
             raise GraphConstructionError("UncertaintySpec edges must be distinct")
         object.__setattr__(self, "uncertain_edges", edges)
-        b = float(self.bound)
-        if not (math.isfinite(b) and b >= 0):
-            raise GraphConstructionError(f"UncertaintySpec bound must be >= 0, got {self.bound!r}")
-        object.__setattr__(self, "bound", b)
 
 
 @dataclass(frozen=True)
@@ -348,7 +340,7 @@ def single_edge_margin(
     anything beyond indefinite; for a bridge the margin equals the edge
     weight itself.
     """
-    return _report(g, UncertaintySpec((int(e),)), tol, "exact_single_edge", False)
+    return _report(g, UncertaintySpec((e,)), tol, "exact_single_edge", False)
 
 
 def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> MarginReport:

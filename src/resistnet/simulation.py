@@ -4,17 +4,17 @@ Linear runs integrate xdot = -L x + v(t) with classical RK4 in L's
 eigenbasis.  When v is zero, k RK4 steps multiply each eigenmode of L by
 r^k, where r = p(-h lam) and p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 is
 the RK4 polynomial, so the stored states come in closed form from one
-eigendecomposition, whatever the step count.  With an input, each step is
-the exact RK4 step map applied mode by mode to the modal coordinates, the
-input projected onto the modes a chunk of steps at a time.  Nonlinear runs
-add edgewise couplings phi(y) = a y + b sin(c y) on k selected edges:
+eigendecomposition, whatever the step count.  Nonlinear runs add edgewise
+couplings phi(y) = a y + b sin(c y) on k selected edges:
 
     xdot = -L x - E_delta phi(E_delta^T x) + v(t).
 
-They take RK4 steps one at a time in the same eigenbasis; the couplings
-enter only through the k rows of E_delta^T V, so a step costs O(k n), not
-a dense n x n product.  Every path agrees with the node-space RK4 loop to
-rounding, not bit for bit.
+Every run with an input or a coupling goes through one stepped kernel: the
+exact RK4 step map applied mode by mode to the modal coordinates, a chunk
+of steps at a time, with the input projected onto the modes per chunk.
+The couplings enter only through the k rows of E_delta^T V, so a step
+costs O(k n), not a dense n x n product.  Every path agrees with the
+node-space RK4 loop to rounding, not bit for bit.
 
 A run is flagged divergent the first time ||x|| exceeds 1e9 (1 + ||x(0)||)
 and the trajectory ends there.  All randomness (initial states, geometric
@@ -50,8 +50,8 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 1e9
 CLUSTER_TOL = 1e-4
-# input sample values a forced run holds at once: its steps are sampled
-# and projected onto L's eigenbasis in chunks of this many values
+# a stepped run takes its steps in chunks of _CHUNK_VALUES // (3n): a chunk
+# holds 3 input samples of n values per step, whatever the run's length
 _CHUNK_VALUES = 1 << 15
 
 _MASK = (1 << 64) - 1
@@ -173,6 +173,10 @@ def burst_input(
     n: int, nodes: Sequence[int], amplitude: float, t_start: float, t_end: float
 ) -> Callable[[float], np.ndarray]:
     """Impulse-like input: ``amplitude`` on ``nodes`` for t in [t_start, t_end)."""
+    if not all(map(math.isfinite, (amplitude, t_start, t_end))):
+        raise InputError("burst amplitude and window ends must be finite")
+    if not gr._are_indices(nodes):
+        raise InputError(f"burst nodes must be integers, got {list(nodes)!r}")
     v = np.zeros(n)
     for node in nodes:
         if not (0 <= node < n):
@@ -192,6 +196,8 @@ def table_input(times: Sequence[float], values: np.ndarray) -> Callable[[float],
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or values.ndim != 2 or len(times) != len(values):
         raise InputError("table input needs matching 1-D times and 2-D values")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise InputError("table input times and values must be finite")
     if np.any(np.diff(times) <= 0):
         raise InputError("table input times must be strictly increasing")
     zero = np.zeros(values.shape[1])
@@ -223,7 +229,7 @@ def _output_pairs(g: gr.WeightedGraph, config: SimulationConfig) -> tuple[np.nda
     if pairs is None:
         return g.tails, g.heads
     for u, v in pairs:
-        if not (0 <= u < g.node_count) or not (0 <= v < g.node_count) or u == v:
+        if not gr._are_indices((u, v)) or not (0 <= u < g.node_count) or not (0 <= v < g.node_count) or u == v:
             raise InputError(f"output pair ({u}, {v}) is not a valid node pair")
     return np.array([u for u, _ in pairs], dtype=int), np.array([v for _, v in pairs], dtype=int)
 
@@ -239,9 +245,10 @@ def _check_step(dt: float, rate: float) -> None:
 def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
     """Weights w + delta, delta a dict {edge index: change} or a length-m vector."""
     if isinstance(delta, dict):
+        if not gr._are_indices(delta):
+            raise GraphConstructionError(f"perturbed edge indices must be integers, got {list(delta)!r}")
         d = np.zeros(g.edge_count)
         for k, change in delta.items():
-            k = int(k)
             if not (0 <= k < g.edge_count):
                 raise GraphConstructionError(
                     f"perturbed edge index {k} out of range for {g.edge_count} edges"
@@ -261,10 +268,13 @@ def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
     return w
 
 
-def _trajectory(keep, states, pairs, dt: float, diverged_at: float | None) -> Trajectory:
-    times = np.array(keep, dtype=float) * dt
+def _trajectory(keep, modes: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, dt: float,
+                diverged_at: float | None) -> Trajectory:
+    """The stored steps ``keep`` from their modal rows, the first row x0 itself."""
+    states = modes @ V.T
+    states[0] = x0
     outputs = states[:, pairs[0]] - states[:, pairs[1]]
-    return Trajectory(times, states, outputs, diverged_at is not None, diverged_at)
+    return Trajectory(np.array(keep, dtype=float) * dt, states, outputs, diverged_at is not None, diverged_at)
 
 
 def _limits(x0: np.ndarray, config: SimulationConfig) -> tuple[int, float]:
@@ -289,17 +299,21 @@ def _sample_input(v: Callable[[float], np.ndarray], times: np.ndarray, n: int) -
     return U
 
 
-def _input_chunks(v: Callable[[float], np.ndarray], V: np.ndarray, steps: int, dt: float):
+def _input_chunks(v: Callable[[float], np.ndarray] | None, V: np.ndarray, steps: int, dt: float):
     """Steps k = 1..steps a chunk at a time, with V^T v at each step's stage
-    times t = (k-1) h, t + h/2 and t + h, computed as the node-space loop
-    computes them, so an input's breakpoints fall on the same side."""
+    times t = (k-1) h, t + h/2 and t + h (None without an input), computed
+    as the node-space loop computes them, so an input's breakpoints fall on
+    the same side."""
     n = V.shape[0]
     chunk = max(1, _CHUNK_VALUES // (3 * max(n, 1)))
     for start in range(0, steps, chunk):
         k = np.arange(start + 1, min(start + chunk, steps) + 1)
-        t = (k - 1) * dt
-        U = _sample_input(v, np.concatenate((t, t + 0.5 * dt, t + dt)), n)
-        yield k, (U @ V).reshape(3, -1, n)
+        if v is None:
+            yield k, None
+        else:
+            t = (k - 1) * dt
+            U = _sample_input(v, np.concatenate((t, t + 0.5 * dt, t + dt)), n)
+            yield k, (U @ V).reshape(3, -1, n)
 
 
 def _run_modal(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: SimulationConfig) -> Trajectory:
@@ -338,132 +352,94 @@ def _run_modal(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: Si
     modes += log_c
     np.exp(modes, out=modes)
     modes *= np.sign(c)
-    states = modes @ V.T
-    states[0] = x0
-    return _trajectory(keep, states, pairs, dt, diverged_at)
+    return _trajectory(keep, modes, V, x0, pairs, dt, diverged_at)
 
 
-def _rk4_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """p(z), h/6 and the input weights g1, g2 of one RK4 step on the modes z = -h lam."""
-    z = -h * lam
-    p = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    h6 = h / 6.0
-    g1 = h6 * (1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
-    g2 = h6 * (4.0 + z * (2.0 + z / 2.0))
-    return p, h6, g1, g2
-
-
-def _run_forced(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, v: Callable[[float], np.ndarray],
-                pairs, config: SimulationConfig) -> Trajectory:
-    """RK4 on xdot = -L x + v(t) in L's eigenbasis (L = V diag(lam) V^T).
+def _run_stepped(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: SimulationConfig,
+                 coupling: NonlinearCoupling | None = None, Ch: np.ndarray | None = None) -> Trajectory:
+    """RK4 on xdot = -L x - E phi(E^T x) + v(t) in L's eigenbasis (L = V diag(lam) V^T).
 
     With z = -h lam, one RK4 step maps each modal coordinate of c = V^T x
     to p(z) c + (h/6) [(1 + z + z^2/2 + z^3/4) u1 + (4 + 2z + z^2/2) u2 + u4],
     where u1, u2 and u4 are V^T v at the step's stage times
-    (:func:`_input_chunks`).  The run diverges at the first step where
-    ||c|| = ||x|| exceeds the threshold or is not finite.
-    """
-    dt = config.dt
-    steps, threshold = _limits(x0, config)
-    p, h6, g1, g2 = _rk4_weights(lam, dt)
-    c = V.T @ x0
-    keep = [np.zeros(1, dtype=int)]
-    rows = [c[None, :]]
-    diverged_at = None
-    # past the divergence step a chunk may overflow; those steps are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (u1, u2, u4) in _input_chunks(v, V, steps, dt):
-            C = g1 * u1 + g2 * u2 + h6 * u4
-            for row in C:  # the step's forcing, then its modal state
-                row += p * c
-                c = row
-            blown = np.flatnonzero(~(np.sqrt(np.einsum("ij,ij->i", C, C)) <= threshold))
-            if blown.size:
-                k, C = k[:blown[0] + 1], C[:blown[0] + 1]
-                diverged_at = int(k[-1]) * dt
-            take = (k % config.store_every == 0) | (k == steps)
-            take[-1] |= diverged_at is not None
-            keep.append(k[take])
-            rows.append(C[take])
-            if diverged_at is not None:
-                break
-        states = np.vstack(rows) @ V.T
-        states[0] = x0
-        return _trajectory(np.concatenate(keep), states, pairs, dt, diverged_at)
-
-
-def _run_coupled(lam: np.ndarray, V: np.ndarray, ends, coupling: NonlinearCoupling, x0: np.ndarray,
-                 v: Callable[[float], np.ndarray] | None, pairs, config: SimulationConfig) -> Trajectory:
-    """RK4 on xdot = -L x - E phi(E^T x) + v(t) in L's eigenbasis (L = V diag(lam) V^T).
-
-    The couplings see c = V^T x only through the k x n Ch = E^T V, rows
-    V[u] - V[v] over the uncertain edges' ``ends`` (tails, heads).  With
-    a = -lam, z = h a, b = -Ch^T, s_i = Ch (a^i c), M_i = Ch diag(a^i) b and
-    phi_j = phi(y_j), the stage arguments are
+    (:func:`_input_chunks`).  A ``coupling`` sees c only through the k x n
+    ``Ch`` = E^T V, rows V[u] - V[v] over the uncertain edges.  With
+    a = -lam, b = -Ch^T, s_i = Ch (a^i c), M_i = Ch diag(a^i) b and
+    phi_j = phi(y_j), its stage arguments are
 
         y1 = s0
         y2 = s0 + (h/2) (s1 + M0 phi1)
         y3 = s0 + (h/2) s1 + (h^2/4) (s2 + M1 phi1) + (h/2) M0 phi2
         y4 = s0 + h s1 + (h^2/2) s2 + (h^3/4) (s3 + M2 phi1) + (h^2/2) M1 phi2 + h M0 phi3
 
-    and the step maps c to p(z) c + (h/6) [(1 + z + z^2/2 + z^3/4) b phi1 +
-    (2 + z + z^2/2) b phi2 + (2 + z) b phi3 + b phi4], plus
-    :func:`_run_forced`'s forcing when there is an input, whose u1 enters
-    the y_j as b phi1 does and u2 as b phi2 and b phi3 together.  The run
-    diverges at the first step where ||c|| = ||x|| exceeds the threshold or
-    is not finite.
+    and it adds (h/6) [(1 + z + z^2/2 + z^3/4) b phi1 + (2 + z + z^2/2) b phi2
+    + (2 + z) b phi3 + b phi4] to the step; u1 enters the y_j as b phi1
+    does and u2 as b phi2 and b phi3 together.
+
+    Each chunk's rows start as its steps' forcing (zeros without an input),
+    and each step adds its own terms to its row in place.  The run diverges
+    at the first step where ||c|| = ||x|| exceeds the threshold or is not
+    finite, found once per chunk; the steps computed past it are dropped.
     """
     h = config.dt
     steps, threshold = _limits(x0, config)
-    p, h6, g1, g2 = _rk4_weights(lam, h)
     z = -h * lam
-    Ch = V[ends[0]] - V[ends[1]]
-    b = -Ch.T
+    p = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    h6 = h / 6.0
+    g1 = h6 * (1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
+    g2 = h6 * (4.0 + z * (2.0 + z / 2.0))
+    if coupling is not None:
+        b = -Ch.T
 
-    def stack(*weights):  # rows Ch diag(w) for each weight
-        return np.vstack([Ch * w for w in weights])
+        def stack(*weights):  # rows Ch diag(w) for each weight
+            return np.vstack([Ch * w for w in weights])
 
-    P = stack(1.0, 1.0 + z / 2.0, 1.0 + z / 2.0 * (1.0 + z / 2.0), 1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
-    W1 = stack(h / 2.0, h * z / 4.0, h * z * z / 4.0)  # phi1 and u1 into y2, y3, y4
-    K1, K2, K3 = W1.dot(b), stack(h / 2.0, h * z / 2.0).dot(b), stack(h).dot(b)  # phi_j into y_j+1..y4
-    B = np.hstack([b * w[:, None] for w in (g1, h6 * (2.0 + z * (1.0 + z / 2.0)), h6 * (2.0 + z))] + [h6 * b])
-    if v is None:
-        stages = zip(range(1, steps + 1), repeat(None), repeat(None))
-    else:
+        P = stack(1.0, 1.0 + z / 2.0, 1.0 + z / 2.0 * (1.0 + z / 2.0), 1.0 + z * (1.0 + z * (0.5 + z / 4.0)))
+        W1 = stack(h / 2.0, h * z / 4.0, h * z * z / 4.0)  # phi1 and u1 into y2, y3, y4
         W2 = stack(0.0, h / 2.0, h * (1.0 + z / 2.0))  # u2 into y2, y3, y4
-        stages = (row for ks, (u1, u2, u4) in _input_chunks(v, V, steps, h)
-                  for row in zip(ks.tolist(), u1.dot(W1.T) + u2.dot(W2.T), g1 * u1 + g2 * u2 + h6 * u4))
-    k = len(Ch)
-    s = np.empty(4 * k)
-    y1, y2, y3, y4 = s[:k], s[k:2 * k], s[2 * k:3 * k], s[3 * k:]
-    after1, after2 = s[k:], s[2 * k:]
+        K1, K2, K3 = W1.dot(b), stack(h / 2.0, h * z / 2.0).dot(b), stack(h).dot(b)  # phi_j into y_j+1..y4
+        B = np.hstack([b * w[:, None] for w in (g1, h6 * (2.0 + z * (1.0 + z / 2.0)), h6 * (2.0 + z))] + [h6 * b])
+        k = len(Ch)
+        s = np.empty(4 * k)
+        y1, y2, y3, y4 = s[:k], s[k:2 * k], s[2 * k:3 * k], s[3 * k:]
+        after1, after2 = s[k:], s[2 * k:]
     c = V.T @ x0
-    keep, rows = [0], [c]
+    keep, rows = [np.zeros(1, dtype=int)], [c[None, :]]
     diverged_at = None
-    for step, y_in, forcing in stages:
-        P.dot(c, out=s)
-        if y_in is not None:
-            after1 += y_in
-        phi1 = coupling(y1)
-        after1 += K1.dot(phi1)
-        phi2 = coupling(y2)
-        after2 += K2.dot(phi2)
-        phi3 = coupling(y3)
-        y4 += K3.dot(phi3)
-        c = p * c + B.dot(np.concatenate((phi1, phi2, phi3, coupling(y4))))
-        if forcing is not None:
-            c += forcing
-        # a NaN or inf entry fails the comparison too
-        blown = not math.sqrt(c.dot(c)) <= threshold
-        if blown or step == steps or step % config.store_every == 0:
-            keep.append(step)
-            rows.append(c)
-        if blown:
-            diverged_at = step * h
-            break
-    states = np.vstack(rows) @ V.T
-    states[0] = x0
-    return _trajectory(keep, states, pairs, h, diverged_at)
+    # past the divergence step a chunk may overflow; those steps are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ks, U in _input_chunks(config.exogenous_input, V, steps, h):
+            C = np.zeros((len(ks), len(c))) if U is None else g1 * U[0] + g2 * U[1] + h6 * U[2]
+            if coupling is None:
+                for row in C:  # the step's forcing, then its modal state
+                    row += p * c
+                    c = row
+            else:
+                Y = repeat(None) if U is None else U[0].dot(W1.T) + U[1].dot(W2.T)
+                for row, y_in in zip(C, Y):
+                    P.dot(c, out=s)
+                    if y_in is not None:
+                        after1 += y_in
+                    phi1 = coupling(y1)
+                    after1 += K1.dot(phi1)
+                    phi2 = coupling(y2)
+                    after2 += K2.dot(phi2)
+                    phi3 = coupling(y3)
+                    y4 += K3.dot(phi3)
+                    row += p * c + B.dot(np.concatenate((phi1, phi2, phi3, coupling(y4))))
+                    c = row
+            # a NaN or inf row fails the comparison too
+            blown = np.flatnonzero(~(np.sqrt(np.einsum("ij,ij->i", C, C)) <= threshold))
+            if blown.size:
+                ks, C = ks[:blown[0] + 1], C[:blown[0] + 1]
+                diverged_at = int(ks[-1]) * h
+            take = (ks % config.store_every == 0) | (ks == steps)
+            take[-1] |= diverged_at is not None
+            keep.append(ks[take])
+            rows.append(C[take])
+            if diverged_at is not None:
+                break
+    return _trajectory(np.concatenate(keep), np.vstack(rows), V, x0, pairs, h, diverged_at)
 
 
 def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Trajectory:
@@ -477,7 +453,7 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
     of g with the perturbed weights) serves the step guard and the run:
     zero-input runs are evaluated in closed form (:func:`_run_modal`), runs
     with an input apply the exact RK4 step map to the modal coordinates
-    (:func:`_run_forced`), reading the input 3 times per step.  Both agree
+    (:func:`_run_stepped`), reading the input 3 times per step.  Both agree
     with the node-space RK4 loop to rounding, not bit for bit.
     """
     if delta is not None:
@@ -488,7 +464,7 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
     pairs = _output_pairs(g, config)
     if config.exogenous_input is None:
         return _run_modal(lam, V, x0, pairs, config)
-    return _run_forced(lam, V, x0, config.exogenous_input, pairs, config)
+    return _run_stepped(lam, V, x0, pairs, config)
 
 
 def simulate_nonlinear(
@@ -504,10 +480,12 @@ def simulate_nonlinear(
     eigendecomposition ``g._spectrum`` serves the step guard, which adds the
     couplings' maximum sector slope to lambda_max(L) (StepSizeError when
     dt >= 2 / (lambda_max + slope)), and the run, which applies the exact
-    RK4 step map to the modal coordinates (:func:`_run_coupled`), reading
+    RK4 step map to the modal coordinates (:func:`_run_stepped`), reading
     an input 3 times per step.  It agrees with the node-space RK4 loop to
     rounding, not bit for bit.
     """
+    if not gr._are_indices(uncertain_edges):
+        raise GraphConstructionError(f"uncertain edge indices must be integers, got {list(uncertain_edges)!r}")
     edges = sorted(set(int(k) for k in uncertain_edges))
     if len(edges) != len(uncertain_edges):
         raise GraphConstructionError("uncertain_edges must be distinct")
@@ -525,8 +503,7 @@ def simulate_nonlinear(
     _check_step(config.dt, float(lam[-1]) + coupling.slope_bound())
     x0 = _resolve_initial_state(g, config)
     pairs = _output_pairs(g, config)
-    return _run_coupled(lam, V, (g.tails[edges], g.heads[edges]), coupling, x0,
-                        config.exogenous_input, pairs, config)
+    return _run_stepped(lam, V, x0, pairs, config, coupling, V[g.tails[edges]] - V[g.heads[edges]])
 
 
 def detect_clusters(values: Sequence[float] | np.ndarray, tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:

@@ -32,6 +32,7 @@ from resistnet import (
     write_trajectory_csv,
 )
 from resistnet.graph import _with_weights
+from resistnet.simulation import _CHUNK_VALUES
 
 DIVERGENCE_FACTOR = 1e9
 
@@ -382,6 +383,74 @@ def test_rk4_divergence_matches_reference():
     got = simulate_nonlinear(g, [0], coupling, cfg)
     assert got.diverged
     assert_agrees(got, reference_nonlinear(g, [0], coupling.params, cfg), "diverged")
+
+
+# ------------------------------------------------- chunks of the stepped kernel
+
+TRIANGLE = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_coupled_run_around_a_chunk_matches_reference(extra):
+    g = generate_rgg(8, 0.7, 104)
+    n = g.node_count
+    coupling = NonlinearCoupling(((-0.3, 0.2, 1.0), (0.1, -0.4, 2.0)))
+    dt = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
+    steps, every = _CHUNK_VALUES // (3 * n) + extra, 8
+    assert steps % every
+    for v in (None, burst_input(n, [1, 5], 2.0, 0.0, 0.3)):
+        cfg = SimulationConfig(duration=steps * dt, dt=dt, initial_state=seeded_x0(n, 4),
+                               exogenous_input=v, store_every=every)
+        got = simulate_nonlinear(g, [0, 2], coupling, cfg)
+        assert_agrees(got, reference_nonlinear(g, [0, 2], coupling.params, cfg), (extra, v))
+        # every 8th step, then the final step, once
+        assert len(got.times) == steps // every + 2 and got.times[-1] == steps * dt
+        assert np.all(np.diff(got.times) > 0)
+
+
+@pytest.mark.parametrize("where", ["middle", "last", "first"])
+def test_coupled_divergence_step_within_a_chunk(where):
+    # the linear coupling -4 y on edge 0 gives the edge weight -3; x0 on the
+    # mode (1, -1, 0) of eigenvalue -5 grows by rho = p(5 h) a step, and is
+    # scaled so that ||x|| first crosses the threshold at step k, half a
+    # step's growth past it
+    chunk = _CHUNK_VALUES // 9
+    k = {"middle": chunk // 2, "last": chunk, "first": chunk + 1}[where]
+    dt = 0.004
+    z = 5.0 * dt
+    rho = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    scale = DIVERGENCE_FACTOR / (rho ** (k - 0.5) - DIVERGENCE_FACTOR)
+    coupling = NonlinearCoupling(((-4.0, 0.0, 1.0),))
+    cfg = SimulationConfig(duration=2.0 * chunk * dt, dt=dt, store_every=1000,
+                           initial_state=scale * np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0))
+    got = simulate_nonlinear(TRIANGLE, [0], coupling, cfg)
+    assert got.diverged_at == k * dt and got.times[-1] == k * dt
+    norms = np.linalg.norm(got.states, axis=1)
+    threshold = DIVERGENCE_FACTOR * (1.0 + norms[0])
+    assert norms[-1] > threshold and np.all(norms[:-1] <= threshold)
+    assert_agrees(got, reference_nonlinear(TRIANGLE, [0], coupling.params, cfg), where)
+
+
+def test_coupled_overflow_past_divergence_is_quiet():
+    # the modes grow about 30x a step, so the rest of the chunk past the
+    # divergence step overflows to inf and nan; that must raise no RuntimeWarning
+    coupling = NonlinearCoupling(((-1e3, 1.0, 1.0),))
+    cfg = SimulationConfig(duration=20.0, dt=0.0019, initial_state=[0.3, -0.1, 0.5],
+                           exogenous_input=burst_input(3, [1], 1.0, 0.0, 1.0))
+    got = simulate_nonlinear(TRIANGLE, [0], coupling, cfg)
+    assert got.diverged and np.all(np.isfinite(got.states))
+    assert_agrees(got, reference_nonlinear(TRIANGLE, [0], coupling.params, cfg), "overflow")
+
+
+def test_zero_coupling_with_an_input_is_the_forced_linear_run():
+    g = generate_rgg(12, 0.6, 5)
+    n = g.node_count
+    cfg = SimulationConfig(duration=3.0, dt=0.01, initial_state=seeded_x0(n, 5), store_every=3,
+                           exogenous_input=burst_input(n, [0, 7], 2.5, 0.2, 1.1))
+    got = simulate_nonlinear(g, [3], NonlinearCoupling(((0.0, 0.0, 1.0),)), cfg)
+    want = simulate_linear(g, None, cfg)
+    for name in ("times", "states", "outputs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ------------------------------------------------------------------ CSV

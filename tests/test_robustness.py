@@ -43,8 +43,23 @@ def test_uncertainty_spec_validation():
         UncertaintySpec(())
     with pytest.raises(GraphConstructionError):
         UncertaintySpec((0, 0))
-    with pytest.raises(GraphConstructionError):
-        UncertaintySpec((0,), bound=-1.0)
+
+
+@pytest.mark.parametrize("edge", [True, np.bool_(False), 0.7, np.float64(1.0)])
+def test_uncertainty_spec_edges_must_be_integers(edge):
+    # a bool or a float was read as another edge index
+    with pytest.raises(GraphConstructionError, match="edges must be integers"):
+        UncertaintySpec((edge,))
+    with pytest.raises(GraphConstructionError, match="edges must be integers"):
+        UncertaintySpec((0, edge))
+    assert UncertaintySpec((np.int64(2), 0)).uncertain_edges == (0, 2)
+
+
+@pytest.mark.parametrize("edge", [True, 1.9, np.float64(1.0)])
+def test_single_edge_margin_edge_must_be_an_integer(edge):
+    with pytest.raises(GraphConstructionError, match="edges must be integers"):
+        single_edge_margin(STAR, edge)
+    assert single_edge_margin(STAR, np.int64(1)).global_margin == single_edge_margin(STAR, 1).global_margin
 
 
 def test_out_of_range_uncertain_edges_are_named():

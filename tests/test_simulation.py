@@ -260,6 +260,62 @@ def test_table_input_zero_order_hold():
     assert np.array_equal(f(1.5), [0.0, 2.0])
 
 
+# a bool would be read as a mask, a float truncated to another index
+NOT_INDICES = [True, np.bool_(False), 1.5, np.float64(1.0)]
+
+
+@pytest.mark.parametrize("node", NOT_INDICES)
+def test_burst_nodes_must_be_integers(node):
+    with pytest.raises(InputError, match="burst nodes must be integers"):
+        burst_input(3, [node], 1.0, 0.0, 1.0)
+    assert np.array_equal(burst_input(3, [np.int64(1)], 1.0, 0.0, 1.0)(0.5), [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("node", NOT_INDICES)
+def test_output_pairs_must_be_integers(node):
+    with pytest.raises(InputError, match="is not a valid node pair"):
+        simulate_linear(TRIANGLE, None, config(duration=0.1, output_edges=((0, node),)))
+    traj = simulate_linear(TRIANGLE, None, config(duration=0.1, output_edges=((0, np.int64(2)),)))
+    assert np.array_equal(traj.outputs[:, 0], traj.states[:, 0] - traj.states[:, 2])
+
+
+@pytest.mark.parametrize("edge", NOT_INDICES)
+def test_perturbed_edges_must_be_integers(edge):
+    with pytest.raises(GraphConstructionError, match="perturbed edge indices must be integers"):
+        simulate_linear(TRIANGLE, {edge: -0.1}, config(duration=0.1))
+    cfg = config(duration=0.1, state_seed=3)
+    assert np.array_equal(simulate_linear(TRIANGLE, {np.int64(1): -0.1}, cfg).states,
+                          simulate_linear(TRIANGLE, {1: -0.1}, cfg).states)
+
+
+@pytest.mark.parametrize("edge", NOT_INDICES)
+def test_uncertain_edges_must_be_integers(edge):
+    coupling = NonlinearCoupling(((-0.1, 0.1, 1.0),))
+    with pytest.raises(GraphConstructionError, match="uncertain edge indices must be integers"):
+        simulate_nonlinear(TRIANGLE, [edge], coupling, config(duration=0.1))
+    cfg = config(duration=0.1, state_seed=3)
+    assert np.array_equal(simulate_nonlinear(TRIANGLE, [np.int64(1)], coupling, cfg).states,
+                          simulate_nonlinear(TRIANGLE, [1], coupling, cfg).states)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_input_must_be_finite(bad):
+    # a NaN time would misplace the lookup; a NaN value would read as divergence
+    with pytest.raises(InputError, match="must be finite"):
+        table_input([0.0, bad, 2.0], np.zeros((3, 2)))
+    values = np.zeros((3, 2))
+    values[1, 0] = bad
+    with pytest.raises(InputError, match="must be finite"):
+        table_input([0.0, 1.0, 2.0], values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_burst_input_must_be_finite(bad):
+    for args in ((bad, 0.0, 1.0), (1.0, bad, 1.0), (1.0, 0.0, bad)):
+        with pytest.raises(InputError, match="must be finite"):
+            burst_input(3, [0], *args)
+
+
 def test_store_every_thins_but_keeps_last():
     traj = simulate_linear(TRIANGLE, None, config(duration=1.0, dt=0.01, store_every=7))
     assert traj.times[0] == 0.0
