@@ -19,10 +19,11 @@
 Each value owns a field of ``_WIDTH`` bytes.  The fields are built position
 by value (arrays of shape ``(positions, N)``, so numpy's inner loops run
 along the values), with uint8 arithmetic blends rather than masked selects;
-a byte the text does not use stays 0, and one mask over the nonzero bytes
-compacts the fields.  A row that holds a non-finite value, or a value
-whose y is inexact and within ``_MARGIN`` of a rounding tie, or whose
-estimated k is off by one, is written by the ``%`` template instead.
+a byte the text does not use stays 0, and deleting the zero bytes with
+``bytes.translate`` compacts the fields.  A row that holds a non-finite
+value, or a value whose y is inexact and within ``_MARGIN`` of a rounding
+tie, or whose estimated k is off by one, is written by the ``%`` template
+instead.
 """
 
 from __future__ import annotations
@@ -229,8 +230,7 @@ def csv_blocks(rows: np.ndarray) -> Iterator[bytes]:
         block = rows[start:start + step]
         x = block.ravel()
         field, fallback = _fields(x, seps[:x.size])
-        field = field.ravel()
-        text = field[field != 0].tobytes()
+        text = field.tobytes().translate(None, b"\0")
         if fallback.any():
             lines = text.split(b"\n")
             for i in np.flatnonzero(fallback.reshape(block.shape).any(axis=1)):

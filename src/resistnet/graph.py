@@ -718,6 +718,8 @@ def path_edge_set(g: WeightedGraph, u: int, v: int) -> set[int]:
     to the path and the answer; empty when u and v sit in different
     components.
     """
+    if not _are_indices((u, v)):
+        raise GraphConstructionError(f"nodes must be integers, got ({u!r}, {v!r})")
     if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
         raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
     if u == v:

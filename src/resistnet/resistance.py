@@ -13,6 +13,7 @@ Both accept signed weights as long as the required inverse exists.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,8 @@ def node_pair_resistance_matrix(
     kernel with one eigenvalue has no other to compare it with: it is
     singular when ``classify_stability`` counts that eigenvalue as zero.
     """
+    if not gr._are_indices(chain.from_iterable(pairs)):
+        raise GraphConstructionError(f"node pair entries must be integers, got {list(pairs)!r}")
     _, labels = gr.connected_components(g)
     for u, v in pairs:
         if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
@@ -100,6 +103,8 @@ def effective_resistance(g: gr.WeightedGraph, u: int, v: int, method: str = "edg
     u and v are in different components and SingularMatrixError when the
     kernel, equivalently R W R^T, is numerically singular.
     """
+    if not gr._are_indices((u, v)):
+        raise GraphConstructionError(f"nodes must be integers, got ({u!r}, {v!r})")
     if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
         raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
     if u == v:
@@ -125,6 +130,8 @@ def resistance_matrix(g: gr.WeightedGraph, edge_subset: Sequence[int]) -> np.nda
     diagonal entries are the edges' effective resistances.  Requires a
     connected graph.
     """
+    if not gr._are_indices(edge_subset):
+        raise GraphConstructionError(f"edge indices must be integers, got {list(edge_subset)!r}")
     count, _ = gr.connected_components(g)
     if count != 1:
         raise DisconnectedGraphError("resistance_matrix requires a connected graph")

@@ -13,7 +13,9 @@ Every run with an input or a coupling goes through one stepped kernel: the
 exact RK4 step map applied mode by mode to the modal coordinates, a chunk
 of steps at a time, with the input projected onto the modes per chunk.
 The couplings enter only through the k rows of E_delta^T V, so a step
-costs O(k n), not a dense n x n product.  Every path agrees with the
+costs O(k n), not a dense n x n product.  A coupling on one edge (k = 1)
+computes its four stages on Python floats, with ``math.sin``, between one
+4 x n and one n x 4 product per step.  Every path agrees with the
 node-space RK4 loop to rounding, not bit for bit.
 
 A run is flagged divergent the first time ||x|| exceeds 1e9 (1 + ||x(0)||)
@@ -109,7 +111,7 @@ class SimulationConfig:
             raise InputError(f"duration must be positive, got {self.duration!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise InputError(f"dt must be positive, got {self.dt!r}")
-        if not (isinstance(self.store_every, int) and self.store_every >= 1):
+        if not (gr._are_indices((self.store_every,)) and self.store_every >= 1):
             raise InputError(f"store_every must be a positive integer, got {self.store_every!r}")
 
 
@@ -380,6 +382,20 @@ def _run_stepped(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: 
     and each step adds its own terms to its row in place.  The run diverges
     at the first step where ||c|| = ||x|| exceeds the threshold or is not
     finite, found once per chunk; the steps computed past it are dropped.
+
+    A coupling on one edge runs the stage recursion on floats: one
+    ``P.dot(c)``, the y_j and phi_j as scalars, and one ``B.dot`` of the four
+    phi_j per step.  Each y_j adds its terms in the array loop's order
+    (input first, then the earlier phi_j), so where ``math.sin`` and
+    ``np.sin`` round alike the result is the array loop's, bit for bit (they
+    did on all 400 000 values tried, 1e-300 to 1e300 in magnitude, on
+    x86_64 with numpy 2.4); elsewhere both agree with the node-space loop
+    to rounding.  ``math.sin(inf)`` raises where ``np.sin``
+    gives NaN, so that step and the rest of its chunk are set to NaN, and
+    the chunk's divergence test drops them as it drops the array loop's.
+    More edges keep the array loop: a float loop written for any k took
+    7.4, 9.2, 11.6 and 14.2 us a step at k = 1..4 (n = 75), the array
+    loop 10.6 to 10.9 us at k = 2..4, and the k = 1 loop above 3.0 us.
     """
     h = config.dt
     steps, threshold = _limits(x0, config)
@@ -400,9 +416,19 @@ def _run_stepped(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: 
         K1, K2, K3 = W1.dot(b), stack(h / 2.0, h * z / 2.0).dot(b), stack(h).dot(b)  # phi_j into y_j+1..y4
         B = np.hstack([b * w[:, None] for w in (g1, h6 * (2.0 + z * (1.0 + z / 2.0)), h6 * (2.0 + z))] + [h6 * b])
         k = len(Ch)
-        s = np.empty(4 * k)
-        y1, y2, y3, y4 = s[:k], s[k:2 * k], s[2 * k:3 * k], s[3 * k:]
-        after1, after2 = s[k:], s[2 * k:]
+        if k == 1:  # the stages run on floats
+            (ca, cb, cc), = coupling.params
+
+            def phi(y):  # the coupling on a float
+                return ca * y + cb * math.sin(cc * y)
+
+            k11, k12, k13 = K1.ravel().tolist()
+            k21, k22 = K2.ravel().tolist()
+            k31, = K3.ravel().tolist()
+        else:
+            s = np.empty(4 * k)
+            y1, y2, y3, y4 = s[:k], s[k:2 * k], s[2 * k:3 * k], s[3 * k:]
+            after1, after2 = s[k:], s[2 * k:]
     c = V.T @ x0
     keep, rows = [np.zeros(1, dtype=int)], [c[None, :]]
     diverged_at = None
@@ -413,6 +439,22 @@ def _run_stepped(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: 
             if coupling is None:
                 for row in C:  # the step's forcing, then its modal state
                     row += p * c
+                    c = row
+            elif k == 1:
+                Y = repeat(None) if U is None else (U[0].dot(W1.T) + U[1].dot(W2.T)).tolist()
+                for j, (row, y_in) in enumerate(zip(C, Y)):
+                    t0, t1, t2, t3 = P.dot(c).tolist()
+                    if y_in is not None:
+                        t1, t2, t3 = t1 + y_in[0], t2 + y_in[1], t3 + y_in[2]
+                    try:
+                        f1 = phi(t0)
+                        f2 = phi(t1 + k11 * f1)
+                        f3 = phi(t2 + k12 * f1 + k21 * f2)
+                        f4 = phi(t3 + k13 * f1 + k22 * f2 + k31 * f3)
+                    except ValueError:  # sin(inf), where np.sin gives nan: the row is blown
+                        C[j:] = math.nan
+                        break
+                    row += p * c + B.dot((f1, f2, f3, f4))
                     c = row
             else:
                 Y = repeat(None) if U is None else U[0].dot(W1.T) + U[1].dot(W2.T)
@@ -481,8 +523,10 @@ def simulate_nonlinear(
     couplings' maximum sector slope to lambda_max(L) (StepSizeError when
     dt >= 2 / (lambda_max + slope)), and the run, which applies the exact
     RK4 step map to the modal coordinates (:func:`_run_stepped`), reading
-    an input 3 times per step.  It agrees with the node-space RK4 loop to
-    rounding, not bit for bit.
+    an input 3 times per step; a coupling on one edge is evaluated in float
+    arithmetic with ``math.sin``, which rounded as ``np.sin`` does on every
+    value tried.  It agrees with the node-space RK4 loop to rounding, not
+    bit for bit.
     """
     if not gr._are_indices(uncertain_edges):
         raise GraphConstructionError(f"uncertain edge indices must be integers, got {list(uncertain_edges)!r}")

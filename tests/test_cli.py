@@ -588,11 +588,10 @@ def test_report_encoder_rejects_what_the_json_module_rejects(value):
 # --------------------------------------------------------------- repro-sec6
 
 
-@pytest.mark.slow
-def test_repro_small_instance_deterministic(capsys, tmp_path):
-    # n=12 instance whose binding edge is a bridge: all expectations hold,
-    # and rerunning with the same seed gives byte-identical artifacts
-    args = ["repro-sec6", "--n", "12", "--radius", "0.4", "--seed", "6"]
+def check_repro_bridge_instance(capsys, tmp_path, n, radius, seed):
+    """All expectations hold on an instance whose binding edge is a bridge,
+    and rerunning with the same seed gives byte-identical artifacts."""
+    args = ["repro-sec6", "--n", str(n), "--radius", str(radius), "--seed", str(seed)]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     code_a = main(args + ["--out", str(out_a)])
@@ -600,6 +599,7 @@ def test_repro_small_instance_deterministic(capsys, tmp_path):
     code_b = main(args + ["--out", str(out_b)])
     stdout_b = capsys.readouterr().out
     assert code_a == code_b == 0
+    assert "7/7 hold" in stdout_a
     names = ["graph.json", "report.json", "nominal.csv", "boundary.csv",
              "beyond.csv", "nonlinear_stable.csv", "nonlinear_unstable.csv"]
     for name in names:
@@ -615,6 +615,17 @@ def test_repro_small_instance_deterministic(capsys, tmp_path):
     assert report["runs"]["beyond"]["diverged"]
     assert report["runs"]["nonlinear_unstable"]["diverged"]
     assert not report["runs"]["nominal"]["diverged"]
+
+
+@pytest.mark.slow
+def test_repro_small_instance_deterministic(capsys, tmp_path):
+    check_repro_bridge_instance(capsys, tmp_path, 12, 0.4, 6)
+
+
+@pytest.mark.slow
+def test_repro_case_study_deterministic(capsys, tmp_path):
+    # the n=40 case study: its beyond run diverges only at t = 6101
+    check_repro_bridge_instance(capsys, tmp_path, 40, 0.25, 3)
 
 
 @pytest.mark.slow

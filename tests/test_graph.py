@@ -410,6 +410,15 @@ def test_path_edge_set_disconnected_and_errors():
         path_edge_set(g, 0, 4)
 
 
+@pytest.mark.parametrize("node", [True, np.bool_(False), 1.5, np.float64(1.0)])
+def test_path_edge_set_nodes_must_be_integers(node):
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    for u, v in ((node, 2), (2, node)):
+        with pytest.raises(GraphConstructionError, match="nodes must be integers"):
+            path_edge_set(g, u, v)
+    assert path_edge_set(g, np.int64(0), 2) == {0, 1, 2}
+
+
 def test_path_edge_set_complete_graph():
     # K12 (66 edges) is one block: every edge lies on a simple 0-1 path
     n = 12

@@ -280,18 +280,19 @@ def test_forced_linear_memory_is_set_by_the_chunk():
 
 
 def test_rk4_nonlinear_matches_reference():
+    # a one-edge coupling steps on floats, a two-edge one on arrays
     for seed, g, x0, dt, pairs in rk4_cases():
-        edges = [0, 2]
         report = worst_single_edge(g)
         big = 3.0 * report.global_margin + 2.0
         for params in (((-0.3, 0.2, 1.0), (0.1, -0.4, 2.0)), ((-big, 1.0, 1.0), (0.0, 0.5, 3.0))):
-            coupling = NonlinearCoupling(params)
-            dt_nl = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
-            for out, v in ((None, None), (pairs, burst_input(g.node_count, [1], 2.0, 0.0, 0.3))):
-                cfg = SimulationConfig(duration=3.0, dt=dt_nl, initial_state=x0,
-                                       exogenous_input=v, output_edges=out, store_every=3)
-                got = simulate_nonlinear(g, edges, coupling, cfg)
-                assert_agrees(got, reference_nonlinear(g, edges, params, cfg), (seed, params, out))
+            for edges, params in (([0, 2], params), ([2], params[:1])):
+                coupling = NonlinearCoupling(params)
+                dt_nl = 0.5 / (float(np.linalg.eigvalsh(laplacian(g))[-1]) + coupling.slope_bound())
+                for out, v in ((None, None), (pairs, burst_input(g.node_count, [1], 2.0, 0.0, 0.3))):
+                    cfg = SimulationConfig(duration=3.0, dt=dt_nl, initial_state=x0,
+                                           exogenous_input=v, output_edges=out, store_every=3)
+                    got = simulate_nonlinear(g, edges, coupling, cfg)
+                    assert_agrees(got, reference_nonlinear(g, edges, params, cfg), (seed, edges, params, out))
 
 
 @pytest.mark.parametrize("seed", [18, 27])
@@ -433,13 +434,31 @@ def test_coupled_divergence_step_within_a_chunk(where):
 
 def test_coupled_overflow_past_divergence_is_quiet():
     # the modes grow about 30x a step, so the rest of the chunk past the
-    # divergence step overflows to inf and nan; that must raise no RuntimeWarning
+    # divergence step overflows to inf and nan; that must raise no
+    # RuntimeWarning, and a coupling stage at inf no error either
     coupling = NonlinearCoupling(((-1e3, 1.0, 1.0),))
-    cfg = SimulationConfig(duration=20.0, dt=0.0019, initial_state=[0.3, -0.1, 0.5],
-                           exogenous_input=burst_input(3, [1], 1.0, 0.0, 1.0))
-    got = simulate_nonlinear(TRIANGLE, [0], coupling, cfg)
-    assert got.diverged and np.all(np.isfinite(got.states))
-    assert_agrees(got, reference_nonlinear(TRIANGLE, [0], coupling.params, cfg), "overflow")
+    for v in (burst_input(3, [1], 1.0, 0.0, 1.0), None):
+        cfg = SimulationConfig(duration=20.0, dt=0.0019, initial_state=[0.3, -0.1, 0.5], exogenous_input=v)
+        got = simulate_nonlinear(TRIANGLE, [0], coupling, cfg)
+        assert got.diverged and np.all(np.isfinite(got.states))
+        assert_agrees(got, reference_nonlinear(TRIANGLE, [0], coupling.params, cfg), ("overflow", v))
+
+
+def test_coupling_stage_at_inf_diverges_at_that_step():
+    # c y overflows to inf once |y| > 1.8 on edge 0, so phi is NaN at that
+    # stage: the run must stop there, with a non-finite last row, not carry
+    # on from the step before (slope bound 1, so any dt below 0.5 is allowed)
+    coupling = NonlinearCoupling(((0.0, 1e-308, 1e308),))
+    for x0, v in (([3.0, -1.0, 5.0], None), ([3.0, -1.0, 5.0], burst_input(3, [1], 1.0, 0.0, 1.0)),
+                  ([0.0, 0.0, 0.0], burst_input(3, [1], 10.0, 0.0, 5.0))):
+        cfg = SimulationConfig(duration=5.0, dt=0.01, initial_state=x0, exogenous_input=v, store_every=7)
+        got = simulate_nonlinear(TRIANGLE, [0], coupling, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_nonlinear(TRIANGLE, [0], coupling.params, cfg)
+        assert got.diverged_at == want.diverged_at is not None, (x0, v)
+        assert np.array_equal(got.times, want.times), (x0, v)
+        assert not np.any(np.isfinite(got.states[-1])), (x0, v)
+        assert np.allclose(got.states[:-1], want.states[:-1], rtol=1e-12, atol=1e-12), (x0, v)
 
 
 def test_zero_coupling_with_an_input_is_the_forced_linear_run():

@@ -82,6 +82,24 @@ def test_endpoint_validation():
         effective_resistance(TRIANGLE, 0, 5)
 
 
+@pytest.mark.parametrize("node", [True, np.bool_(False), 1.5, np.float64(1.0)])
+def test_nodes_and_edges_must_be_integers(node):
+    # a bool was read as a mask, a float raised numpy's IndexError or was
+    # truncated to another index
+    for call in (lambda: effective_resistance(TRIANGLE, node, 2),
+                 lambda: effective_resistance(TRIANGLE, 0, node, method="pseudoinverse"),
+                 lambda: node_pair_resistance_matrix(TRIANGLE, [(0, 1), (node, 2)])):
+        with pytest.raises(GraphConstructionError, match="must be integers"):
+            call()
+    with pytest.raises(GraphConstructionError, match="edge indices must be integers"):
+        resistance_matrix(TRIANGLE, [node])
+    with pytest.raises(GraphConstructionError, match="edge indices must be integers"):
+        total_effective_resistance(TRIANGLE, [0, node])
+    assert effective_resistance(TRIANGLE, np.int64(0), 2) == pytest.approx(2.0 / 3.0)
+    assert resistance_matrix(TRIANGLE, [np.int64(1)])[0, 0] == pytest.approx(2.0 / 3.0)
+    assert node_pair_resistance_matrix(TRIANGLE, [(np.int64(0), 1)])[0, 0] == pytest.approx(2.0 / 3.0)
+
+
 def test_disconnected_pair_raises():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):

@@ -64,6 +64,9 @@ def test_config_validation():
         SimulationConfig(duration=1.0, dt=-0.1)
     with pytest.raises(InputError):
         SimulationConfig(duration=1.0, dt=0.01, store_every=0)
+    with pytest.raises(InputError, match="store_every"):
+        SimulationConfig(duration=1.0, dt=0.01, store_every=True)
+    assert simulate_linear(TRIANGLE, None, config(duration=0.1, store_every=np.int64(5))).times.size == 3
 
 
 def test_initial_state_validation():
