@@ -218,7 +218,7 @@ def _analysis_document(g: gr.WeightedGraph, tol: float) -> dict:
 
     try:
         doc["margin"] = _margin_doc(rb.worst_single_edge(g, tol), g)
-    except (NominalInstabilityError, SingularMatrixError) as exc:
+    except (NominalInstabilityError, SingularMatrixError, NotApplicableError) as exc:
         doc["margin"] = None
         doc["margin_note"] = str(exc)
     return doc

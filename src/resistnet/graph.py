@@ -11,10 +11,12 @@ it for its lifetime; nothing it keeps refers back to the graph, so the
 graph and its arrays go as soon as the last reference to it does.  It
 keeps:
 
-* one factorization that every analysis shares: the eigenvalues of the
-  grounded Laplacian pencil (``grounded_eigvals``) and the grounded inverse
-  built through the same scaling (``grounded_inverse``); the pencil itself
-  is dropped once both exist;
+* one factorization that every analysis shares: the grounded Laplacian
+  pencil (``_pencil``), its eigenvalues (``grounded_eigvals``) and the
+  grounded inverse built through the same scaling (``grounded_inverse``);
+  each is built only when an analysis needs it (a positive graph's verdict
+  needs none, a graph's first few-edge margin only the pencil), and the
+  pencil is dropped once both the others exist;
 * one read-only eigendecomposition of L itself (``_spectrum``) for every
   simulation's step guard and run and the case study's resistance scan;
 * its neighbor lists, shared by the breadth-first search (component labels,
@@ -179,7 +181,8 @@ class WeightedGraph:
     def _memo(self) -> dict:
         """Analysis results on this graph, keyed by analysis and arguments:
         ``stability`` keeps its verdict per zero threshold here and
-        ``robustness`` its gains per uncertain-edge set and threshold."""
+        ``robustness`` its gains per uncertain-edge set and threshold, and
+        whether its one few-edge column solve has run."""
         return {}
 
     @_cached_property
@@ -251,8 +254,8 @@ class WeightedGraph:
 
         Built through the pencil's scaling by an LU solve, so a signed
         nonsingular L_g works too: d^T L^+ d = d^T G d for d = e_u - e_v
-        within one component.  Callers test the pencil's eigenvalues for
-        singularity first.
+        within one component.  Callers check singularity first, from the
+        pencil's eigenvalues or, on a positive graph, from its weights.
         """
         Cinv, A, ground = self._pencil
         if "grounded_eigvals" in self.__dict__:

@@ -16,12 +16,14 @@ the sector widths.
 
 Margins read the graph's cached grounded inverse G = L_g^{-1}: M11(0) is
 the resistance Gram over E_delta read from entries of G, and the per-edge
-resistances are its diagonal.  sigma_bar needs no n x m channel: it is
-1/lambda_min of the grounded pencil when E_delta is every edge, otherwise
-the top eigenvalue of the smaller of the |E_delta|-square Gram and the
-(n-1)-square K^T L_delta,g K (K K^T = G_g, L_delta the unit Laplacian of
-E_delta).  ``m11_frequency_response`` reads the channel in node form; the
-forest form above is its tested reference.
+resistances are its diagonal.  A few-edge set needs only G's rows and
+columns at its endpoints, so the graph's first such request solves the
+pencil for those columns alone and G is built on the next.  sigma_bar
+needs no n x m channel: it is 1/lambda_min of the grounded pencil when
+E_delta is every edge, otherwise the top eigenvalue of the smaller of the
+|E_delta|-square Gram and the (n-1)-square K^T L_delta,g K (K K^T = G_g,
+L_delta the unit Laplacian of E_delta).  ``m11_frequency_response`` reads
+the channel in node form; the forest form above is its tested reference.
 """
 
 from __future__ import annotations
@@ -182,12 +184,6 @@ def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
         )
 
 
-def _validated_inverse(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> np.ndarray:
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec)
-    return g.grounded_inverse
-
-
 def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
     """Per-edge resistances G_tt + G_hh - 2 G_th (read-only) and sigma_bar(M11(0)).
 
@@ -197,6 +193,9 @@ def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.n
     with Lambda^{-1}), the edge's resistance when E_delta is one edge, the
     top eigenvalue of the |E_delta|-square Gram when |E_delta| <= n - 1,
     and otherwise that of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
+    Only the all-edge set reads the pencil's eigenvalues, before G, so the
+    pencil goes as soon as G exists; sets of at most n - 1 edges read G
+    through ``_inverse_at``, which may solve for their endpoints alone.
     """
     key = ("gains", spec.uncertain_edges, tol)
     gains = g._memo.get(key)
@@ -213,21 +212,48 @@ def _edge_index(g: gr.WeightedGraph, spec: UncertaintySpec) -> slice | np.ndarra
 
 
 def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
-    G = _validated_inverse(g, spec, tol)
+    _require_nominal_stability(g, tol)
+    _validate_edges(g, spec)
     k = _edge_index(g, spec)
     t, h = g.tails[k], g.heads[k]
-    r = G[t, t] - G[t, h] - G[h, t] + G[h, h]
+    every = t.size == g.edge_count
+    few = not every and t.size < g.node_count  # at most n - c edges (connected: c = 1)
+    if every:
+        lam_min = float(g.grounded_eigvals[0])  # before G, so the pencil goes once G exists
+    G, a, b = _inverse_at(g, t, h) if few else (g.grounded_inverse, t, h)
+    r = G[a, a] - G[a, b] - G[b, a] + G[b, b]
     r.flags.writeable = False
-    lam = g.grounded_eigvals
-    if r.size == g.edge_count:
-        return r, 1.0 / float(lam[0])
+    if every:
+        return r, 1.0 / lam_min
     if r.size == 1:
         return r, float(r[0])  # the 1 x 1 Gram is r itself
-    if r.size <= lam.size:
-        return r, float(np.linalg.eigvalsh(rs._pair_gram(G, t, h))[-1])
+    if few:
+        return r, float(np.linalg.eigvalsh(rs._pair_gram(G, a, b))[-1])
     K = np.linalg.cholesky(G[1:, 1:])  # connected: node 0 is the grounded one
     L_delta = gr._laplacian(g.node_count, t, h, np.ones(r.size))[1:, 1:]
     return r, float(np.linalg.eigvalsh(K.T @ L_delta @ K)[-1])
+
+
+def _inverse_at(g: gr.WeightedGraph, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G's rows and columns at the edges' endpoints, with the endpoints'
+    indices into them, for a connected graph.
+
+    G itself when it is on the graph.  Otherwise the graph's first request
+    whose endpoints U are fewer than n - 1 solves the pencil for those
+    columns alone, G_UU = S_U^T A^{-1} S_U with S_U = C^{-1}[:, U] (zero for
+    the grounded node 0), and the next such request builds G, so a loop
+    over every edge pays one extra solve.
+    """
+    if "grounded_inverse" not in g.__dict__ and ("columns",) not in g._memo:
+        nodes = np.array(sorted({*t.tolist(), *h.tolist()}))
+        if nodes.size < g.node_count - 1:
+            g._memo[("columns",)] = True
+            Cinv, A, _ = g._pencil
+            S = np.zeros((len(Cinv), nodes.size))
+            kept = nodes > 0
+            S[:, kept] = Cinv[:, nodes[kept] - 1]
+            return S.T @ np.linalg.solve(A, S), np.searchsorted(nodes, t), np.searchsorted(nodes, h)
+    return g.grounded_inverse, t, h
 
 
 def m11_at_zero(
@@ -239,9 +265,10 @@ def m11_at_zero(
     symmetric and positive semidefinite for nominally stable networks.
     Read from entries of the graph's grounded inverse.
     """
-    G = _validated_inverse(g, spec, tol)
+    _require_nominal_stability(g, tol)
+    _validate_edges(g, spec)
     k = list(spec.uncertain_edges)
-    return rs._pair_gram(G, g.tails[k], g.heads[k])
+    return rs._pair_gram(g.grounded_inverse, g.tails[k], g.heads[k])
 
 
 def m11_frequency_response(
@@ -348,8 +375,11 @@ def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Margi
 
     The binding edge attains min_e 1/R_e (ties resolve to the lowest edge
     index); the report's global margin is exact for perturbations confined
-    to that edge and safe for any single-edge perturbation.
+    to that edge and safe for any single-edge perturbation.  Raises
+    NotApplicableError on a graph without edges.
     """
+    if not g.edge_count:
+        raise NotApplicableError("the graph has no edges, so there is no single-edge margin")
     return _report(g, UncertaintySpec(tuple(range(g.edge_count))), tol, "exact_single_edge", False)
 
 

@@ -279,10 +279,26 @@ def _trajectory(keep, modes: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, d
     return Trajectory(np.array(keep, dtype=float) * dt, states, outputs, diverged_at is not None, diverged_at)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X.  A row whose squares overflow is
+    rescaled by its largest |entry|, so a finite row gets a finite norm
+    below about 1.8e308; a row with an inf or NaN entry gets NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ij,ij->i", X, X)
+        norms = np.sqrt(squares)
+        big = np.flatnonzero(np.isinf(squares))
+        if big.size:
+            B = np.abs(X[big])
+            top = B.max(axis=1)
+            B /= top[:, None]
+            norms[big] = top * np.sqrt(np.einsum("ij,ij->i", B, B))
+    return norms
+
+
 def _limits(x0: np.ndarray, config: SimulationConfig) -> tuple[int, float]:
     """Step count and divergence threshold of a run."""
     steps = int(math.ceil(config.duration / config.dt - 1e-9))
-    return steps, DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
+    return steps, DIVERGENCE_FACTOR * (1.0 + float(_row_norms(x0[None, :])[0]))
 
 
 def _sample_input(v: Callable[[float], np.ndarray], times: np.ndarray, n: int) -> np.ndarray:
@@ -471,7 +487,7 @@ def _run_stepped(lam: np.ndarray, V: np.ndarray, x0: np.ndarray, pairs, config: 
                     row += p * c + B.dot(np.concatenate((phi1, phi2, phi3, coupling(y4))))
                     c = row
             # a NaN or inf row fails the comparison too
-            blown = np.flatnonzero(~(np.sqrt(np.einsum("ij,ij->i", C, C)) <= threshold))
+            blown = np.flatnonzero(~(_row_norms(C) <= threshold))
             if blown.size:
                 ks, C = ks[:blown[0] + 1], C[:blown[0] + 1]
                 diverged_at = int(ks[-1]) * h

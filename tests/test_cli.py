@@ -113,6 +113,21 @@ def test_analyze_json_schema(capsys, triangle_file):
     assert doc["margin"]["method"] == "exact_single_edge"
 
 
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_analyze_edgeless_graph_reports_no_margin(capsys, tmp_path, nodes):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["stability"]["classification"] == "stable_agreement"
+    assert doc["stability"]["signature"] == {"n_plus": 0, "n_minus": 0, "n_zero": nodes}
+    assert doc["margin"] is None and "no edges" in doc["margin_note"]
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and not err
+    assert "margin: unavailable (the graph has no edges" in out
+
+
 def test_analyze_parse_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -344,6 +359,18 @@ def count_eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.mark.parametrize("edges", ["single:7", "set:1,5,9"])
+def test_few_edge_margin_on_a_positive_graph_needs_no_pencil_eigensolve(capsys, tmp_path, monkeypatch,
+                                                                         edges):
+    n = 60
+    g = resistnet.generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
+    path = write_graph(tmp_path, "rgg.json", n, g.edges)
+    calls = count_eigensolves(monkeypatch)
+    code, out, _ = run(capsys, "margin", path, "--edges", edges, "--json")
+    assert code == 0 and json.loads(out)["margin"]["per_edge"]
+    assert [name for name, shape in calls if shape == (n - 1, n - 1)] == ["inv"]  # the pencil's C^{-1}
 
 
 def test_simulate_with_dt_eigensolves_once(capsys, tmp_path, triangle_file, monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import random_cactus, random_connected_positive, random_signed, triangle_chain
 from resistnet import (
+    InputError,
     NotApplicableError,
     SectorSpec,
     SingularMatrixError,
@@ -49,7 +50,9 @@ from resistnet import (
     worst_single_edge,
 )
 from resistnet import graph as gr
+from resistnet import robustness as rb
 from resistnet import spectral as sp
+from resistnet import stability as st
 
 
 def disjoint_union(a, b):
@@ -217,6 +220,104 @@ def test_weak_bridge_pseudoinverse_keeps_its_weight():
     """L^+ formed from the component indicators drops no eigenvalue as zero."""
     g = weak_bridge(1e-6)
     assert effective_resistance(g, 0, 40, method="pseudoinverse") == pytest.approx(1e6, rel=1e-6)
+
+
+# --------------------------------------- structural verdict, column solve
+
+
+def dense_pencil_verdict(g, tol=sp.DEFAULT_TOL):
+    """(classification, signature) from eigvalsh of the grounded pencil
+    C^{-1} L_g C^{-T}, built here with each component's smallest node grounded."""
+    count, labels = gr.connected_components(g)
+    roots = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+    keep = np.ix_(*2 * [np.delete(np.arange(g.node_count), roots)])
+    unit = laplacian(build_graph(g.node_count, [(u, v, 1.0) for u, v, _ in g.edges]))
+    Ci = np.linalg.inv(np.linalg.cholesky(unit[keep]))
+    lam = np.linalg.eigvalsh(Ci @ laplacian(g)[keep] @ Ci.T)
+    cut = tol * max(1.0, float(np.abs(lam).max(initial=0.0)))
+    plus, minus = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
+    zero = lam.size - plus - minus
+    label = "unstable" if minus else "marginal" if zero else "stable_agreement"
+    return label, (plus, minus, zero + count)
+
+
+def test_positive_verdict_without_eigensolve_matches_dense_pencil():
+    """Weights over 12 decades, the smallest one set just above, at or
+    below the zero cut tol * max(1, w_max); some graphs are disconnected."""
+    rng = np.random.default_rng(1717)
+    sides = {True: 0, False: 0}
+    for i in range(400):
+        base = random_connected_positive(rng, n_max=10, extra_prob=0.35)
+        keep = [e for e in base.edges if rng.random() > 0.1] or list(base.edges[:1])
+        w = 10.0 ** rng.uniform(-6.0, 6.0, len(keep))
+        tol = float(rng.choice([sp.DEFAULT_TOL, 1e-6]))
+        w[np.argmin(w)] = (0.5, 0.999, 1.0, 1.001, 2.0, 1e3)[i % 6] * tol * max(1.0, w.max())
+        g = build_graph(base.node_count, [(u, v, float(x)) for (u, v, _), x in zip(keep, w)])
+        verdict = classify_stability(g, tol)
+        structural = bool(w.min() > tol * max(1.0, w.max()))
+        assert ("grounded_eigvals" in g.__dict__) != structural
+        assert (verdict.classification, verdict.signature.as_tuple()) == dense_pencil_verdict(g, tol)
+        sides[structural] += 1
+    assert min(sides.values()) >= 100
+
+
+def test_verdicts_the_structural_rule_leaves_to_the_eigensolve():
+    tiny = build_graph(3, [(0, 1, 1e-11), (0, 2, 1e-11), (1, 2, 1e-11)])  # cut floor max(1, .)
+    ill_scaled = build_graph(3, [(0, 1, 1e6), (1, 2, 1e-3)])  # w_min is the cut itself
+    for g in (tiny, ill_scaled):
+        assert classify_stability(g).classification == "marginal"
+        assert "grounded_eigvals" in g.__dict__
+    with pytest.raises(InputError):
+        classify_stability(build_graph(2, []), -1.0)
+
+
+def column_and_g_gains(edges, n, spec, tol=sp.DEFAULT_TOL):
+    """Gains of ``spec`` through the column solve and through G, on two copies."""
+    columns, full = build_graph(n, edges), build_graph(n, edges)
+    by_columns = rb._gains(columns, spec, tol)
+    assert "grounded_inverse" not in columns.__dict__
+    full.grounded_inverse
+    return by_columns, rb._gains(full, spec, tol), columns
+
+
+def test_column_solve_matches_g_and_pseudoinverse():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for spread in (0.5, 6.0):  # weights over 1 and over 12 decades
+        for _ in range(150):
+            g = random_connected_positive(rng, n_max=12, extra_prob=0.3)
+            w = 10.0 ** rng.uniform(-spread, spread, g.edge_count)
+            edges = [(u, v, float(x)) for (u, v, _), x in zip(g.edges, w)]
+            size = min(int(rng.integers(1, 4)), g.edge_count)
+            spec = UncertaintySpec(tuple(rng.choice(g.edge_count, size, replace=False).tolist()))
+            ends = {node for k in spec.uncertain_edges for node in edges[k][:2]}
+            if len(spec.uncertain_edges) == g.edge_count or len(ends) >= g.node_count - 1:
+                continue  # the all-edge and many-node sets read G
+            (r, sigma), (r_g, sigma_g), _ = column_and_g_gains(edges, g.node_count, spec, tol=0.0)
+            assert np.allclose(r, r_g, rtol=1e-12, atol=0.0) and sigma == pytest.approx(sigma_g, rel=1e-12)
+            if spread < 1.0:
+                weighted = build_graph(g.node_count, edges)
+                pinv = [effective_resistance(weighted, *edges[k][:2], method="pseudoinverse")
+                        for k in spec.uncertain_edges]
+                assert np.allclose(r, pinv, rtol=1e-9, atol=0.0)
+            checked += 1
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("graph, edge, exact", [
+    (weak_bridge(1e-6), -1, 1e6),  # the bridge (0, 40)
+    (weak_path(1e-8), 0, 1e8),  # the weak end of the 301-node path
+])
+def test_column_solve_across_weak_links(graph, edge, exact):
+    k = edge % graph.edge_count
+    spec = UncertaintySpec((k,))
+    (r, _), (r_g, _), columns = column_and_g_gains(graph.edges, graph.node_count, spec)
+    assert r[0] == pytest.approx(r_g[0], rel=1e-12)
+    assert r[0] == pytest.approx(exact, rel=1e-7)
+    if graph.node_count == 80:  # L^+ keeps the bridge (the path's is too ill-conditioned)
+        pinv = effective_resistance(graph, *graph.edges[k][:2], method="pseudoinverse")
+        assert r[0] == pytest.approx(pinv, rel=1e-6)
+    assert single_edge_margin(columns, k).global_margin == pytest.approx(1.0 / exact, rel=1e-7)
 
 
 # ------------------------------------------------------- sector check
@@ -480,10 +581,29 @@ def test_one_edge_gain_needs_no_eigensolve(monkeypatch):
         sector_stability_check(g, spec, SectorSpec(((-0.1, 0.4),)))
 
 
+def test_single_edge_loop_solves_columns_once_then_builds_g(monkeypatch):
+    n = 200
+    g = generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
+    pencils = count_property(monkeypatch, "_pencil")
+    inverses = count_property(monkeypatch, "grounded_inverse")
+    eigvals = count_property(monkeypatch, "grounded_eigvals")
+    solves = []
+
+    def counted_solve(A, b, solve=np.linalg.solve):
+        solves.append(np.shape(b))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    for k in range(g.edge_count):
+        single_edge_margin(g, k)
+    assert pencils == {id(g): 1} and inverses == {id(g): 1} and eigvals == {}
+    assert solves == [(n - 1, 2), (n - 1, n - 1)]  # edge 0's two columns, then G
+
+
 def test_one_signature_per_graph_and_tol(monkeypatch):
     calls = []
-    original = sp._eigval_signature
-    monkeypatch.setattr(sp, "_eigval_signature", lambda lam, tol: calls.append(tol) or original(lam, tol))
+    original = st._classify
+    monkeypatch.setattr(st, "_classify", lambda g, tol: calls.append(tol) or original(g, tol))
     g = triangle_chain(6)
     pair = UncertaintySpec((0, 17))
     for tol in (sp.DEFAULT_TOL, 1e-6, sp.DEFAULT_TOL, 1e-6):

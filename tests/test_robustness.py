@@ -164,6 +164,12 @@ def test_worst_single_edge_star():
     assert rep.global_margin == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_worst_single_edge_needs_an_edge(nodes):
+    with pytest.raises(NotApplicableError, match="no edges"):
+        worst_single_edge(build_graph(nodes, []))
+
+
 def test_binding_tie_resolves_to_lowest_index():
     rep = worst_single_edge(TRIANGLE)
     assert rep.binding_edge == 0

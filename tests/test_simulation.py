@@ -165,6 +165,43 @@ def test_divergence_detection_and_truncation():
     assert np.linalg.norm(traj.states[-1]) > 1e9
 
 
+HUGE = 2.0 ** 700  # about 5e210: squares of its multiples overflow, from about 1.3e154
+
+
+def huge_and_unit_runs(kind, delta=None, duration=3.0):
+    """The run of ``kind`` from HUGE * (1, -1, 0) and from (1, -1, 0), on the
+    triangle.  Each is homogeneous in x0 (a burst scaled with it, a coupling
+    linear), so the first is HUGE times the second up to rounding."""
+    def run(scale):
+        cfg = config(duration=duration, initial_state=[scale, -scale, 0.0])
+        if kind == "burst":
+            cfg = config(duration=duration, initial_state=[scale, -scale, 0.0],
+                         exogenous_input=burst_input(3, [2], 0.5 * scale, 0.5, 1.5))
+        if kind == "coupling":
+            return simulate_nonlinear(TRIANGLE, [0], NonlinearCoupling(((delta or -0.3, 0.0, 1.0),)), cfg)
+        return simulate_linear(TRIANGLE, None if delta is None else {0: delta}, cfg)
+
+    return run(HUGE), run(1.0)
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "burst", "coupling"])
+def test_huge_finite_states_are_not_diverged(kind):
+    big, unit = huge_and_unit_runs(kind)
+    assert not big.diverged and big.diverged_at is None
+    assert np.array_equal(big.times, unit.times)
+    # the closed form evaluates exp(log|c| + k log r): |log HUGE| * eps absolute
+    assert np.allclose(big.states / HUGE, unit.states, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "burst", "coupling"])
+def test_huge_unstable_runs_still_diverge(kind):
+    # weight 1 - 4 on edge 0: L has eigenvalue -5, so the state grows past 1e9 within 5 s
+    big, unit = huge_and_unit_runs(kind, delta=-4.0, duration=6.0)
+    assert big.diverged and unit.diverged
+    assert np.isfinite(big.states).all()
+    assert np.linalg.norm(big.states[-1] / HUGE) > 1e9
+
+
 def test_perturbation_forms_agree():
     delta_dict = {2: -0.3}
     delta_vec = np.array([0.0, 0.0, -0.3])
