@@ -187,33 +187,29 @@ def _analysis_document(g: gr.WeightedGraph, tol: float) -> dict:
         "cut_edges": list(cut_edges),
         "lmi_psd": st.lmi_psd_check(g, tol),
     }
-    if part.negative_edges:
-        try:
-            diag["total_resistance_check"] = st.total_resistance_necessary_check(g)
-        except DisconnectedGraphError:
-            diag["total_resistance_check"] = None
-            diag["total_resistance_note"] = "positive subgraph is disconnected"
-        try:
-            thresholds = st.multi_negative_edge_thresholds(g)
-            if thresholds.applicable:
-                diag["thresholds"] = {
-                    "applicable": True,
-                    "per_edge": [
-                        {"edge": k, "threshold": v}
-                        for k, v in sorted(thresholds.thresholds.items())
-                    ],
-                }
-            else:
-                diag["thresholds"] = {
-                    "applicable": False,
-                    "overlapping_edges": list(thresholds.overlap),
-                }
-        except DisconnectedGraphError:
-            diag["thresholds"] = None
-            diag["thresholds_note"] = "positive subgraph is disconnected"
-    else:
-        diag["total_resistance_check"] = True
-        diag["thresholds"] = {"applicable": True, "per_edge": []}
+    try:
+        diag["total_resistance_check"] = st.total_resistance_necessary_check(g)
+    except DisconnectedGraphError:
+        diag["total_resistance_check"] = None
+        diag["total_resistance_note"] = "positive subgraph is disconnected"
+    try:
+        thresholds = st.multi_negative_edge_thresholds(g)
+        if thresholds.applicable:
+            diag["thresholds"] = {
+                "applicable": True,
+                "per_edge": [
+                    {"edge": k, "threshold": v}
+                    for k, v in sorted(thresholds.thresholds.items())
+                ],
+            }
+        else:
+            diag["thresholds"] = {
+                "applicable": False,
+                "overlapping_edges": list(thresholds.overlap),
+            }
+    except DisconnectedGraphError:
+        diag["thresholds"] = None
+        diag["thresholds_note"] = "positive subgraph is disconnected"
     doc["negative_edge_diagnostics"] = diag
 
     try:
@@ -316,6 +312,8 @@ def _parse_edge_selection(text: str, g: gr.WeightedGraph):
 
 def cmd_margin(args) -> int:
     g = gr.load_graph(args.graph)
+    if not g.edge_count:
+        raise NotApplicableError("the graph has no edges, so there is no margin")
     try:
         edges = _parse_edge_selection(args.edges, g)
     except InputError:
@@ -690,10 +688,6 @@ def main(argv=None) -> int:
             GenerationError, OSError) as exc:
         print(f"resistnet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NominalInstabilityError, DisconnectedGraphError, SingularMatrixError,
-            NotApplicableError) as exc:
-        print(f"resistnet: {exc}", file=sys.stderr)
-        return EXIT_ANALYTIC
     except ResistNetError as exc:  # any remaining domain error is analytic
         print(f"resistnet: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC

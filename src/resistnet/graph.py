@@ -15,8 +15,8 @@ keeps:
   pencil (``_pencil``), its eigenvalues (``grounded_eigvals``) and the
   grounded inverse built through the same scaling (``grounded_inverse``);
   each is built only when an analysis needs it (a positive graph's verdict
-  needs none, a graph's first few-edge margin only the pencil), and the
-  pencil is dropped once both the others exist;
+  and resistance gate need none, a graph's first few-edge margin only the
+  pencil), and the pencil is never kept beside G;
 * one read-only eigendecomposition of L itself (``_spectrum``) for every
   simulation's step guard and run and the case study's resistance scan;
 * its neighbor lists, shared by the breadth-first search (component labels,
@@ -217,8 +217,8 @@ class WeightedGraph:
 
     @_cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, until
-        both kernel properties exist.
+        """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, kept
+        only until G (``grounded_inverse``) exists.
 
         Grounding deletes each component's root, its smallest node, and
         ``ground`` indexes the kept rows and columns: ``[1:, 1:]`` on a
@@ -244,8 +244,8 @@ class WeightedGraph:
         graph, so a zero cut on them does not tighten as the graph grows.
         """
         A = self._pencil[1]
-        if "grounded_inverse" in self.__dict__:
-            del self.__dict__["_pencil"]  # nothing else reads it
+        if "grounded_inverse" in self.__dict__:  # read after G: not kept
+            del self.__dict__["_pencil"]
         return np.linalg.eigvalsh(A)
 
     @_cached_property
@@ -254,12 +254,11 @@ class WeightedGraph:
 
         Built through the pencil's scaling by an LU solve, so a signed
         nonsingular L_g works too: d^T L^+ d = d^T G d for d = e_u - e_v
-        within one component.  Callers check singularity first, from the
-        pencil's eigenvalues or, on a positive graph, from its weights.
+        within one component.  Callers check singularity through the
+        verdict first; building G drops the pencil.
         """
         Cinv, A, ground = self._pencil
-        if "grounded_eigvals" in self.__dict__:
-            del self.__dict__["_pencil"]  # nothing else reads it
+        del self.__dict__["_pencil"]
         X = np.linalg.solve(A, Cinv)
         del A
         G = np.zeros((self.node_count, self.node_count))

@@ -5,10 +5,12 @@ G = L_g^{-1} (``WeightedGraph.grounded_inverse``): R_uv = G_uu + G_vv - 2 G_uv.
 G is built through the pencil of L_g against its unit-weight copy, which is
 congruent to the cut-space matrix R W R^T, so it equals the paper's edge
 form x^T (R W R^T)^{-1} x without building the spanning forest
-(``graph.spanning_forest`` keeps that form as the reference); the pencil's
-eigenvalues decide singularity.  The pseudoinverse form d^T L(G)^+ d, with
-L^+ built from the component indicators, is an independent cross-check.
-Both accept signed weights as long as the required inverse exists.
+(``graph.spanning_forest`` keeps that form as the reference); the graph's
+cached verdict, which cuts the pencil at tol * max |lambda_i| with no
+absolute floor, decides singularity.  The pseudoinverse form d^T L(G)^+ d,
+with L^+ built from the component indicators, is an independent
+cross-check.  Both accept signed weights as long as the required inverse
+exists.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graph as gr
-from . import spectral as sp
+from . import stability as st
 from .errors import DisconnectedGraphError, GraphConstructionError, SingularMatrixError
 
 __all__ = [
@@ -28,9 +30,6 @@ __all__ = [
     "node_pair_resistance_matrix",
     "total_effective_resistance",
 ]
-
-# smallest/largest |eigenvalue| ratio of the kernel below which L is deemed singular
-_SINGULAR_RTOL = 1e-10
 
 
 def node_pair_resistance_matrix(
@@ -41,14 +40,13 @@ def node_pair_resistance_matrix(
     Entry (i, j) is (e_{u_i}-e_{v_i})^T L^+ (e_{u_j}-e_{v_j}), evaluated
     through the grounded-Laplacian kernel.  Every pair must lie inside one
     component; the pairs need not be edges of the graph.  Raises
-    SingularMatrixError when the kernel's |eigenvalue| ratio is at most
-    1e-10; on a tree those eigenvalues are R W R^T's, the weights.  A
-    kernel with one eigenvalue has no other to compare it with: it is
-    singular when ``classify_stability`` counts that eigenvalue as zero.
+    SingularMatrixError exactly when ``classify_stability`` counts more
+    zeros than components, at the pencil cut tol * max |lambda_i| (default
+    tol); on a tree those eigenvalues are R W R^T's, the weights.
     """
     if not gr._are_indices(chain.from_iterable(pairs)):
         raise GraphConstructionError(f"node pair entries must be integers, got {list(pairs)!r}")
-    _, labels = gr.connected_components(g)
+    count, labels = gr.connected_components(g)
     for u, v in pairs:
         if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
             raise GraphConstructionError(f"node pair ({u}, {v}) out of range")
@@ -58,13 +56,11 @@ def node_pair_resistance_matrix(
             raise DisconnectedGraphError(
                 f"nodes {u} and {v} lie in different components: infinite resistance"
             )
-    lam = g.grounded_eigvals
-    size = np.abs(lam)
-    cut = _SINGULAR_RTOL * size.max() if lam.size > 1 else sp._zero_cut(lam, sp.DEFAULT_TOL)
-    if lam.size and size.min() <= cut:
+    sig = st.classify_stability(g).signature
+    if sig.n_zero > count:
         raise SingularMatrixError(
             "grounded Laplacian (congruent to R W R^T) is numerically singular "
-            f"(|lambda|_min = {size.min():.3e}, |lambda|_max = {size.max():.3e}); "
+            f"(signature {sig.as_tuple()} on {count} component(s)); "
             "the network sits on a degeneracy of its weights"
         )
     ends = np.array(pairs, dtype=int).reshape(-1, 2)

@@ -193,8 +193,8 @@ def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.n
     with Lambda^{-1}), the edge's resistance when E_delta is one edge, the
     top eigenvalue of the |E_delta|-square Gram when |E_delta| <= n - 1,
     and otherwise that of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
-    Only the all-edge set reads the pencil's eigenvalues, before G, so the
-    pencil goes as soon as G exists; sets of at most n - 1 edges read G
+    Only the all-edge set reads the pencil's eigenvalues, before G, which
+    drops the pencil when it is built; sets of at most n - 1 edges read G
     through ``_inverse_at``, which may solve for their endpoints alone.
     """
     key = ("gains", spec.uncertain_edges, tol)
@@ -219,7 +219,7 @@ def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tu
     every = t.size == g.edge_count
     few = not every and t.size < g.node_count  # at most n - c edges (connected: c = 1)
     if every:
-        lam_min = float(g.grounded_eigvals[0])  # before G, so the pencil goes once G exists
+        lam_min = float(g.grounded_eigvals[0])  # before G, which drops the pencil
     G, a, b = _inverse_at(g, t, h) if few else (g.grounded_inverse, t, h)
     r = G[a, a] - G[a, b] - G[b, a] + G[b, b]
     r.flags.writeable = False

@@ -1,7 +1,9 @@
 """Symmetric-matrix kernels: inertia signatures, pseudoinverse, spectral norm.
 
 Zero classification is relative: an eigenvalue counts as zero when
-|lambda| <= tol * max(1, max_i |lambda_i|), with tol defaulting to 1e-9.
+|lambda| <= tol * max(floor, max_i |lambda_i|), with tol defaulting to 1e-9.
+The floor is 1 for generic matrices and 0 for graph pencils, whose verdicts
+must not depend on the scale of the weights.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _zero_cut(eigvals: np.ndarray, tol: float) -> float:
-    """The zero threshold; every public ``tol`` is checked here."""
+def _zero_cut(eigvals: np.ndarray, tol: float, floor: float = 1.0) -> float:
+    """The zero threshold tol * max(floor, max |eigvals|); graph pencils pass
+    floor 0.  Every public ``tol`` is checked here."""
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
     if eigvals.size == 0:
         return tol
-    return tol * max(1.0, float(np.max(np.abs(eigvals))))
+    return tol * max(floor, float(np.max(np.abs(eigvals))))
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,9 @@ def signature_of(A: np.ndarray, tol: float = DEFAULT_TOL) -> Signature:
     return _eigval_signature(np.linalg.eigvalsh(A), tol)
 
 
-def _eigval_signature(eigvals: np.ndarray, tol: float = DEFAULT_TOL) -> Signature:
+def _eigval_signature(eigvals: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 1.0) -> Signature:
     """Inertia of a symmetric matrix given its eigenvalues."""
-    cut = _zero_cut(eigvals, tol)
+    cut = _zero_cut(eigvals, tol, floor)
     n_plus = int(np.sum(eigvals > cut))
     n_minus = int(np.sum(eigvals < -cut))
     return Signature(n_plus, n_minus, eigvals.size - n_plus - n_minus)

@@ -4,14 +4,14 @@ The Laplacian L = E W E^T of a connected network with n_zero = 1 and no
 negative eigenvalues drives the agreement dynamics xdot = -L x to consensus.
 Classification reads the eigenvalues of the graph's cached grounded-Laplacian
 pencil (L with one node per component deleted, against its unit-weight copy;
-congruent to R W R^T), whose inertia equals L's up to the structural zeros;
-on a positive graph they lie in [w_min, w_max], so one whose smallest
-weight clears the zero cut is stable without them.  Networks with negative
-weights also get certificates: a cut criterion, single- and multi-edge
-magnitude thresholds, a total-resistance necessary condition and a
-positive-semidefinite block test (the cut criterion plus the d x d Schur
-complement |W_-|^{-1} - R_-), which all read one resistance Gram R_- from
-the positive subgraph's cached grounded inverse.
+congruent to R W R^T), whose inertia equals L's up to the structural zeros,
+cut at tol * max |lambda_i| with no absolute floor; on a positive graph
+they lie in [w_min, w_max], so one with w_min > tol * w_max is stable
+without them.  Networks with negative weights also get certificates: a cut
+criterion, single- and multi-edge magnitude thresholds, a total-resistance
+necessary condition and a positive-semidefinite block test (the cut
+criterion plus the d x d Schur complement |W_-|^{-1} - R_-), which all read
+one resistance Gram R_- from the positive subgraph's cached grounded inverse.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def classify_stability(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Stab
 
     Grounding one node per component removes exactly the c structural zero
     eigenvalues, so they never interact with the zero threshold; they are
-    appended exactly.  The zero threshold is applied to the eigenvalues of
-    the pencil against the unit-weight grounded Laplacian, which do not
-    shrink as the graph grows (on a tree they are the weights) and lie in
-    [w_min, w_max] on a positive graph, whose verdict the weights decide
-    when w_min clears the cut.  The verdict is kept on the graph per ``tol``.
+    appended exactly.  The zero threshold tol * max |lambda_i| is applied to
+    the eigenvalues of the pencil against the unit-weight grounded Laplacian,
+    which do not shrink as the graph grows (on a tree they are the weights),
+    so scaling every weight leaves the verdict alone.  The verdict is kept
+    on the graph per ``tol``.
     """
     key = ("verdict", tol)
     verdict = g._memo.get(key)
@@ -82,16 +82,16 @@ def classify_stability(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Stab
 
 def _classify(g: gr.WeightedGraph, tol: float) -> StabilityVerdict:
     """The pencil's eigenvalues lie in [w_min, w_max] on a positive graph, so
-    when w_min clears the zero cut tol * max(1, w_max) the verdict is
+    when w_min clears the zero cut tol * w_max the verdict is
     ``stable_agreement`` (n - c, 0, c) without an eigensolve; every other
     graph counts the eigenvalues."""
     w = g.weights
     w_min = w.min() if w.size else math.inf
-    if w_min > 0 and w_min > sp._zero_cut(w, tol):  # the dense path checks tol otherwise
+    if w_min > 0 and w_min > sp._zero_cut(w, tol, 0.0):  # the dense path checks tol otherwise
         count = g._bfs[0]
         return StabilityVerdict(STABLE, sp.Signature(g.node_count - count, 0, count))
     lam = g.grounded_eigvals
-    ess = sp._eigval_signature(lam, tol)
+    ess = sp._eigval_signature(lam, tol, 0.0)
     sig = sp.Signature(ess.n_plus, ess.n_minus, ess.n_zero + g.node_count - lam.size)
     if sig.n_minus > 0:
         cut_exists, cut_edges = gr.negative_cut_components(g)

@@ -146,18 +146,23 @@ def test_singular_at_exact_stability_boundary():
             node_pair_resistance_matrix(boundary, [(boundary.edges[e][0], boundary.edges[e][1])])
 
 
-def test_singular_when_marginal_with_a_one_by_one_kernel():
+def test_one_by_one_kernel_is_never_singular():
     # 1.6279741148513789 less its own margin 1/R leaves one ulp-sized weight;
-    # the kernel's |eigenvalue| ratio is 1 there, yet the graph is marginal
+    # the kernel's one eigenvalue is its own scale, so the edge is stable
     g = build_graph(2, [(0, 1, 1.6279741148513789)])
     w = g.weights[0] - single_edge_margin(g, 0).global_margin
     assert w == 2.220446049250313e-16
-    boundary = build_graph(2, [(0, 1, w)])
-    assert classify_stability(boundary).classification == "marginal"
+    ulp = build_graph(2, [(0, 1, w)])
+    assert classify_stability(ulp).classification == "stable_agreement"
+    assert node_pair_resistance_matrix(ulp, [(0, 1)])[0, 0] == pytest.approx(1.0 / w, rel=1e-12)
+    assert effective_resistance(ulp, 0, 1) == pytest.approx(1.0 / w, rel=1e-12)
+
+
+def test_tiny_weight_beside_a_unit_one_is_marginal_and_singular():
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 5e-10)])  # weight ratio 5e-10 <= tol
+    assert classify_stability(g).classification == "marginal"
     with pytest.raises(SingularMatrixError):
-        node_pair_resistance_matrix(boundary, [(0, 1)])
-    with pytest.raises(SingularMatrixError):
-        effective_resistance(boundary, 0, 1)
+        effective_resistance(g, 0, 2)
 
 
 def weak_path(w, n=301):
@@ -234,7 +239,7 @@ def dense_pencil_verdict(g, tol=sp.DEFAULT_TOL):
     unit = laplacian(build_graph(g.node_count, [(u, v, 1.0) for u, v, _ in g.edges]))
     Ci = np.linalg.inv(np.linalg.cholesky(unit[keep]))
     lam = np.linalg.eigvalsh(Ci @ laplacian(g)[keep] @ Ci.T)
-    cut = tol * max(1.0, float(np.abs(lam).max(initial=0.0)))
+    cut = tol * float(np.abs(lam).max(initial=0.0))
     plus, minus = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
     zero = lam.size - plus - minus
     label = "unstable" if minus else "marginal" if zero else "stable_agreement"
@@ -243,7 +248,7 @@ def dense_pencil_verdict(g, tol=sp.DEFAULT_TOL):
 
 def test_positive_verdict_without_eigensolve_matches_dense_pencil():
     """Weights over 12 decades, the smallest one set just above, at or
-    below the zero cut tol * max(1, w_max); some graphs are disconnected."""
+    below the zero cut tol * w_max; some graphs are disconnected."""
     rng = np.random.default_rng(1717)
     sides = {True: 0, False: 0}
     for i in range(400):
@@ -251,10 +256,10 @@ def test_positive_verdict_without_eigensolve_matches_dense_pencil():
         keep = [e for e in base.edges if rng.random() > 0.1] or list(base.edges[:1])
         w = 10.0 ** rng.uniform(-6.0, 6.0, len(keep))
         tol = float(rng.choice([sp.DEFAULT_TOL, 1e-6]))
-        w[np.argmin(w)] = (0.5, 0.999, 1.0, 1.001, 2.0, 1e3)[i % 6] * tol * max(1.0, w.max())
+        w[np.argmin(w)] = (0.5, 0.999, 1.0, 1.001, 2.0, 1e3)[i % 6] * tol * w.max()
         g = build_graph(base.node_count, [(u, v, float(x)) for (u, v, _), x in zip(keep, w)])
         verdict = classify_stability(g, tol)
-        structural = bool(w.min() > tol * max(1.0, w.max()))
+        structural = bool(w.min() > tol * w.max())
         assert ("grounded_eigvals" in g.__dict__) != structural
         assert (verdict.classification, verdict.signature.as_tuple()) == dense_pencil_verdict(g, tol)
         sides[structural] += 1
@@ -262,13 +267,75 @@ def test_positive_verdict_without_eigensolve_matches_dense_pencil():
 
 
 def test_verdicts_the_structural_rule_leaves_to_the_eigensolve():
-    tiny = build_graph(3, [(0, 1, 1e-11), (0, 2, 1e-11), (1, 2, 1e-11)])  # cut floor max(1, .)
+    tiny = build_graph(3, [(0, 1, 1e-11), (0, 2, 1e-11), (1, 2, 1e-11)])  # no absolute floor
+    assert classify_stability(tiny).classification == "stable_agreement"
+    assert "grounded_eigvals" not in tiny.__dict__
     ill_scaled = build_graph(3, [(0, 1, 1e6), (1, 2, 1e-3)])  # w_min is the cut itself
-    for g in (tiny, ill_scaled):
-        assert classify_stability(g).classification == "marginal"
-        assert "grounded_eigvals" in g.__dict__
+    assert classify_stability(ill_scaled).classification == "marginal"
+    assert "grounded_eigvals" in ill_scaled.__dict__
     with pytest.raises(InputError):
         classify_stability(build_graph(2, []), -1.0)
+
+
+def scale_free_graphs(rng, count):
+    """Signed graphs, some disconnected, with weights over 12 decades; every
+    fourth is on an exact stability boundary (a positive graph with one
+    non-bridge edge less its own margin, or the triangle whose negative edge
+    is at its threshold)."""
+    graphs = []
+    while len(graphs) < count:
+        if len(graphs) % 4 == 0:
+            if len(graphs) % 8 == 0:
+                graphs.append(build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.5)]))
+                continue
+            g = random_connected_positive(rng, n_max=10, extra_prob=0.4)
+            w = 10.0 ** rng.uniform(-3.0, 3.0, g.edge_count)
+            g = build_graph(g.node_count, [(u, v, float(x)) for (u, v, _), x in zip(g.edges, w)])
+            e = int(rng.integers(0, g.edge_count))
+            edges = list(g.edges)
+            u, v, x = edges[e]
+            edges[e] = (u, v, x - single_edge_margin(g, e).global_margin)
+            if abs(edges[e][2]) > 1e-9 * x:  # a bridge's boundary deletes it
+                graphs.append(build_graph(g.node_count, edges))
+            continue
+        g = random_signed(rng, n_max=10)
+        keep = [e for e in g.edges if rng.random() > 0.1] or list(g.edges[:1])
+        graphs.append(build_graph(g.node_count, [(u, v, math.copysign(10.0 ** rng.uniform(-6, 6), x))
+                                                 for u, v, x in keep]))
+    return graphs
+
+
+def gate(g):
+    """The resistance Gram over the graph's edges, or None where it raises."""
+    try:
+        return node_pair_resistance_matrix(g, [e[:2] for e in g.edges])
+    except SingularMatrixError:
+        return None
+
+
+def test_verdicts_and_resistance_gate_are_scale_free():
+    """Scaling every weight by s keeps the signature and the gate, and
+    divides R by s: within 1e-9 of max |R|, or kappa * 1e-14 where the
+    pencil's condition number kappa amplifies the half-ulp rounding of s * w
+    beyond that."""
+    rng = np.random.default_rng(1818)
+    graphs = scale_free_graphs(rng, 240)
+    verdicts = [classify_stability(g) for g in graphs]
+    grams = [gate(g) for g in graphs]
+    assert sum(v.classification == "marginal" for v in verdicts) >= 40
+    assert 40 <= sum(R is None for R in grams) <= 200
+    assert any(v.classification == "unstable" for v in verdicts)
+    lams = [np.abs(g.grounded_eigvals) for g in graphs]
+    kappas = [lam.max() / lam.min() if R is not None else None for lam, R in zip(lams, grams)]
+    assert sum(k is not None and k <= 1e5 for k in kappas) >= 50
+    for s in (1e-12, 1e-6, 1e6, 1e12):
+        for g, verdict, R, kappa in zip(graphs, verdicts, grams, kappas):
+            scaled = build_graph(g.node_count, [(u, v, s * w) for u, v, w in g.edges])
+            assert classify_stability(scaled) == verdict
+            R_s = gate(scaled)
+            assert (R_s is None) == (R is None)
+            if R is not None:
+                assert np.abs(R_s * s - R).max() <= max(1e-9, 1e-14 * kappa) * np.abs(R).max()
 
 
 def column_and_g_gains(edges, n, spec, tol=sp.DEFAULT_TOL):
@@ -561,8 +628,9 @@ def test_one_pencil_and_one_eigensolve_per_graph(monkeypatch):
         plus = gr.positive_subgraph(g)
         expected = {id(g): 1} if plus is g else {id(g): 1, id(plus): 1}
         assert pencils == expected
-        assert eigvals == expected
-        assert "_pencil" not in g.__dict__  # both kernel properties exist
+        # the well-conditioned positive subgraph's weights gate its resistances
+        assert eigvals == {id(g): 1}
+        assert "_pencil" not in g.__dict__ and "_pencil" not in plus.__dict__  # G exists
 
 
 def test_one_edge_gain_needs_no_eigensolve(monkeypatch):
@@ -598,6 +666,16 @@ def test_single_edge_loop_solves_columns_once_then_builds_g(monkeypatch):
         single_edge_margin(g, k)
     assert pencils == {id(g): 1} and inverses == {id(g): 1} and eigvals == {}
     assert solves == [(n - 1, 2), (n - 1, n - 1)]  # edge 0's two columns, then G
+
+
+def test_single_edge_loop_leaves_g_without_the_pencil():
+    n = 200
+    g = generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
+    for k in range(g.edge_count):
+        single_edge_margin(g, k)
+    assert "grounded_inverse" in g.__dict__ and "_pencil" not in g.__dict__
+    worst_single_edge(g)  # reads the eigenvalues after G
+    assert "grounded_eigvals" in g.__dict__ and "_pencil" not in g.__dict__
 
 
 def test_one_signature_per_graph_and_tol(monkeypatch):
@@ -661,8 +739,8 @@ def test_analyzed_graphs_are_freed_by_reference_counting():
             assert caches <= set(g.__dict__)
         else:
             assert caches | signed_caches <= set(g.__dict__)
-            assert {"_adj", "_bfs", "_blocks", "_block_tree", "grounded_eigvals",
-                    "grounded_inverse"} <= set(plus.__dict__)
+            assert {"_adj", "_bfs", "_blocks", "_block_tree", "grounded_inverse"} <= set(plus.__dict__)
+            assert "grounded_eigvals" not in plus.__dict__  # its weights decide its verdict
         assert "_pencil" not in g.__dict__
         memo_keys = {key[0] for key in g._memo}
         assert memo_keys == {"verdict", "gains"}
