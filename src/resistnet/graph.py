@@ -12,8 +12,9 @@ graph and its arrays go as soon as the last reference to it does.  It
 keeps:
 
 * one factorization that every analysis shares: the grounded Laplacian
-  pencil (``_pencil``), its eigenvalues (``grounded_eigvals``) and the
-  grounded inverse built through the same scaling (``grounded_inverse``);
+  pencil on triangular factors (``_pencil``), its eigenvalues
+  (``grounded_eigvals``) and the grounded inverse G built from the same
+  factors (``grounded_inverse``);
   each is built only when an analysis needs it (a positive graph's verdict
   and resistance gate need none, a graph's first few-edge margin only the
   pencil), and the pencil is never kept beside G;
@@ -42,6 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import spectral as sp
 from .errors import GraphConstructionError, GraphFormatError
 
 __all__ = [
@@ -216,14 +218,16 @@ class WeightedGraph:
         return lam, V
 
     @_cached_property
-    def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, kept
-        only until G (``grounded_inverse``) exists.
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray | None]:
+        """``(C^{-1}, A, ground, K^{-1})`` of the grounded Laplacian pencil,
+        kept only until G (``grounded_inverse``) exists.
 
         Grounding deletes each component's root, its smallest node, and
         ``ground`` indexes the kept rows and columns: ``[1:, 1:]`` on a
         connected graph.  C is the Cholesky factor of the grounded
-        unit-weight Laplacian L1_g and A = C^{-1} L_g C^{-T}.
+        unit-weight Laplacian L1_g, A = C^{-1} L_g C^{-T}, and A = K K^T
+        when A is positive definite (every stable graph) with more than
+        ``spectral._TRI_BLOCK`` rows, else K^{-1} is None.
         """
         count, _, _, roots = self._bfs
         if count == 1:
@@ -232,8 +236,10 @@ class WeightedGraph:
             keep = np.delete(np.arange(self.node_count), roots)
             ground = np.ix_(keep, keep)
         unit = _laplacian(self.node_count, self.tails, self.heads, np.ones(self.edge_count))
-        Cinv = np.linalg.inv(np.linalg.cholesky(unit[ground]))
-        return Cinv, Cinv @ laplacian(self)[ground] @ Cinv.T, ground
+        Cinv = sp._tri_inv(np.linalg.cholesky(unit[ground]))
+        del unit  # not live beside A and its factor
+        A = Cinv @ laplacian(self)[ground] @ Cinv.T
+        return Cinv, A, ground, sp._cholesky_inv(A)
 
     @_cached_property
     def grounded_eigvals(self) -> np.ndarray:
@@ -252,17 +258,25 @@ class WeightedGraph:
     def grounded_inverse(self) -> np.ndarray:
         """n x n grounded inverse G = C^{-T} A^{-1} C^{-1} = L_g^{-1}, zero at the deleted nodes.
 
-        Built through the pencil's scaling by an LU solve, so a signed
+        G_g = M^T M with M = K^{-1} C^{-1} when the pencil holds K^{-1};
+        else C^{-T} X with A X = C^{-1} solved by LU, so a signed
         nonsingular L_g works too: d^T L^+ d = d^T G d for d = e_u - e_v
         within one component.  Callers check singularity through the
         verdict first; building G drops the pencil.
         """
-        Cinv, A, ground = self._pencil
+        Cinv, A, ground, Kinv = self._pencil
         del self.__dict__["_pencil"]
-        X = np.linalg.solve(A, Cinv)
-        del A
+        if Kinv is None:
+            M = np.linalg.solve(A, Cinv)
+            del A
+            left = Cinv.T
+        else:  # A and then both factors go before G: at most three arrays live
+            del A
+            M = Kinv @ Cinv
+            del Kinv, Cinv
+            left = M.T
         G = np.zeros((self.node_count, self.node_count))
-        G[ground] = Cinv.T @ X
+        G[ground] = left @ M
         return G
 
 

@@ -18,7 +18,8 @@ Margins read the graph's cached grounded inverse G = L_g^{-1}: M11(0) is
 the resistance Gram over E_delta read from entries of G, and the per-edge
 resistances are its diagonal.  A few-edge set needs only G's rows and
 columns at its endpoints, so the graph's first such request solves the
-pencil for those columns alone and G is built on the next.  sigma_bar
+pencil for those columns alone, through the same factor of the pencil
+that G is built from, and G is built on the next.  sigma_bar
 needs no n x m channel: it is 1/lambda_min of the grounded pencil when
 E_delta is every edge, otherwise the top eigenvalue of the smaller of the
 |E_delta|-square Gram and the (n-1)-square K^T L_delta,g K (K K^T = G_g,
@@ -83,7 +84,9 @@ class SectorSpec:
     """Sector bounds (alpha_i, beta_i), one pair per uncertain edge.
 
     Pairs align positionally with the (sorted) edges of the companion
-    UncertaintySpec; each sector must satisfy alpha < beta.
+    UncertaintySpec; each sector must satisfy alpha < beta, with a width
+    beta - alpha whose square is finite (below about 1.34e154), since the
+    quadratic condition squares it.
     """
 
     sectors: tuple[tuple[float, float], ...]
@@ -96,6 +99,10 @@ class SectorSpec:
                 raise GraphConstructionError(f"sector {i}: bounds must be finite")
             if not a < b:
                 raise GraphConstructionError(f"sector {i}: alpha={a} must be < beta={b}")
+            if not math.isfinite((b - a) * (b - a)):
+                raise GraphConstructionError(
+                    f"sector {i} ({a}, {b}): its width squared is beyond the float range"
+                )
             cleaned.append((a, b))
         object.__setattr__(self, "sectors", tuple(cleaned))
 
@@ -241,18 +248,24 @@ def _inverse_at(g: gr.WeightedGraph, t: np.ndarray, h: np.ndarray) -> tuple[np.n
     G itself when it is on the graph.  Otherwise the graph's first request
     whose endpoints U are fewer than n - 1 solves the pencil for those
     columns alone, G_UU = S_U^T A^{-1} S_U with S_U = C^{-1}[:, U] (zero for
-    the grounded node 0), and the next such request builds G, so a loop
-    over every edge pays one extra solve.
+    the grounded node 0): Z^T Z with Z = K^{-1} S_U when the pencil holds
+    K^{-1} (A = K K^T), else by an LU solve, as G is built.  The next such
+    request builds G, so a loop over every edge pays one extra solve.
     """
     if "grounded_inverse" not in g.__dict__ and ("columns",) not in g._memo:
         nodes = np.array(sorted({*t.tolist(), *h.tolist()}))
         if nodes.size < g.node_count - 1:
             g._memo[("columns",)] = True
-            Cinv, A, _ = g._pencil
+            Cinv, A, _, Kinv = g._pencil
             S = np.zeros((len(Cinv), nodes.size))
             kept = nodes > 0
             S[:, kept] = Cinv[:, nodes[kept] - 1]
-            return S.T @ np.linalg.solve(A, S), np.searchsorted(nodes, t), np.searchsorted(nodes, h)
+            if Kinv is None:
+                Z, left = np.linalg.solve(A, S), S.T
+            else:
+                Z = Kinv @ S
+                left = Z.T
+            return left @ Z, np.searchsorted(nodes, t), np.searchsorted(nodes, h)
     return g.grounded_inverse, t, h
 
 

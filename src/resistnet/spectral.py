@@ -1,4 +1,5 @@
-"""Symmetric-matrix kernels: inertia signatures, pseudoinverse, spectral norm.
+"""Symmetric-matrix kernels: inertia signatures, pseudoinverse, spectral norm,
+and the triangular inverses the graph pencil is built on.
 
 Zero classification is relative: an eigenvalue counts as zero when
 |lambda| <= tol * max(floor, max_i |lambda_i|), with tol defaulting to 1e-9.
@@ -85,6 +86,53 @@ def pseudoinverse(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     inv = np.where(np.abs(eigvals) > cut, 1.0 / np.where(eigvals == 0, 1.0, eigvals), 0.0)
     P = (vecs * inv) @ vecs.T
     return 0.5 * (P + P.T)
+
+
+# Triangular factors of at most this many rows are inverted by one
+# ``np.linalg.inv``; pencils of at most this many rows keep that inverse and
+# an LU solve for G.  Larger factors go through ``_tri_inv``'s recursion.
+_TRI_BLOCK = 64
+_LOWER = np.tri(_TRI_BLOCK, dtype=bool)
+
+
+def _tri_inv(C: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular C.
+
+    At most ``_TRI_BLOCK`` rows: ``np.linalg.inv(C)``.  Otherwise C is
+    overwritten and returned: its two diagonal halves are inverted in place,
+    then X21 = -X22 (C21 X11), the blocked recursion of Du Croz and Higham
+    (1992); the products need at most two temporaries of a quarter of C
+    each.  A half of at most ``_TRI_BLOCK`` rows keeps only the lower
+    triangle of its ``np.linalg.inv``: the row exchanges of that LU can
+    leave rounding residue above the diagonal, and cutting it keeps the
+    inverse exactly triangular.
+    """
+    n = len(C)
+    if n <= _TRI_BLOCK:
+        return np.linalg.inv(C)
+    h = n // 2
+    for half in (C[:h, :h], C[h:, h:]):
+        k = len(half)
+        if k > _TRI_BLOCK:
+            _tri_inv(half)
+        else:
+            np.copyto(half, np.linalg.inv(half), where=_LOWER[:k, :k])
+    T = C[h:, :h] @ C[:h, :h]
+    np.negative(T, out=T)
+    C[h:, :h] = C[h:, h:] @ T
+    return C
+
+
+def _cholesky_inv(A: np.ndarray) -> np.ndarray | None:
+    """K^{-1} for A = K K^T, by ``_tri_inv``; None when A has at most
+    ``_TRI_BLOCK`` rows or is not positive definite."""
+    if len(A) <= _TRI_BLOCK:
+        return None
+    try:
+        K = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return _tri_inv(K)
 
 
 def spectral_norm(A: np.ndarray) -> float:

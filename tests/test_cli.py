@@ -247,6 +247,13 @@ def test_margin_sector_failure_exits_2(capsys, triangle_file):
     assert "not certified" in out
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_margin_sector_width_beyond_float_range_exit_1(capsys, triangle_file, fmt):
+    code, out, err = run(capsys, "margin", triangle_file, "--sector=-1e300,1e300", *fmt)
+    assert code == 1 and not out
+    assert err.startswith("resistnet: error: sector 0 (-1e+300, 1e+300): its width squared")
+
+
 def test_margin_overlap_falls_back_with_warning(capsys, triangle_file):
     code, out, err = run(capsys, "margin", triangle_file, "--edges", "set:0,1")
     assert code == 0
@@ -373,13 +380,18 @@ def count_eigensolves(monkeypatch):
 @pytest.mark.parametrize("edges", ["single:7", "set:1,5,9"])
 def test_few_edge_margin_on_a_positive_graph_needs_no_pencil_eigensolve(capsys, tmp_path, monkeypatch,
                                                                          edges):
-    n = 60
-    g = resistnet.generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
-    path = write_graph(tmp_path, "rgg.json", n, g.edges)
     calls = count_eigensolves(monkeypatch)
-    code, out, _ = run(capsys, "margin", path, "--edges", edges, "--json")
-    assert code == 0 and json.loads(out)["margin"]["per_edge"]
-    assert [name for name, shape in calls if shape == (n - 1, n - 1)] == ["inv"]  # the pencil's C^{-1}
+    for n in (60, 100):  # at most and above the block size
+        g = resistnet.generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=9)
+        path = write_graph(tmp_path, f"rgg{n}.json", n, g.edges)
+        calls.clear()
+        code, out, _ = run(capsys, "margin", path, "--edges", edges, "--json")
+        assert code == 0 and json.loads(out)["margin"]["per_edge"]
+        square = [name for name, shape in calls if shape == (n - 1, n - 1)]
+        if n - 1 <= resistnet.spectral._TRI_BLOCK:
+            assert square == ["inv"]  # the pencil's C^{-1}
+        else:  # C^{-1} and K^{-1} are inverted by halves
+            assert square == [] and ("inv", (49, 49)) in calls
 
 
 def test_simulate_with_dt_eigensolves_once(capsys, tmp_path, triangle_file, monkeypatch):

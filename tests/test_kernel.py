@@ -387,6 +387,123 @@ def test_column_solve_across_weak_links(graph, edge, exact):
     assert single_edge_margin(columns, k).global_margin == pytest.approx(1.0 / exact, rel=1e-7)
 
 
+# ------------------------------------------------- triangular factors
+
+
+def rgg(n, seed=9):
+    return generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=seed)
+
+
+def star(n):
+    """Unit star centred on its last node, so every row of the grounded factor reaches it."""
+    return build_graph(n, [(i, n - 1, 1.0) for i in range(n - 1)])
+
+
+def ground(g):
+    """The pencil's grounding: each component's smallest node deleted."""
+    count, labels = gr.connected_components(g)
+    roots = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+    return np.ix_(*2 * [np.delete(np.arange(g.node_count), roots)])
+
+
+def lu_route(g):
+    """Pencil eigenvalues and G the way they were built before the triangular
+    kernel: C^{-1} by ``np.linalg.inv``, G_g = C^{-T} X with A X = C^{-1} by an LU solve."""
+    keep = ground(g)
+    unit = gr._laplacian(g.node_count, g.tails, g.heads, np.ones(g.edge_count))
+    Cinv = np.linalg.inv(np.linalg.cholesky(unit[keep]))
+    A = Cinv @ laplacian(g)[keep] @ Cinv.T
+    G = np.zeros((g.node_count, g.node_count))
+    G[keep] = Cinv.T @ np.linalg.solve(A, Cinv)
+    return np.linalg.eigvalsh(A), G
+
+
+def unit_factor(g):
+    """Cholesky factor of the grounded unit-weight Laplacian."""
+    return np.linalg.cholesky(gr._laplacian(g.node_count, g.tails, g.heads, np.ones(g.edge_count))[ground(g)])
+
+
+def pencil_factor(g):
+    """K with K K^T = A, the pencil of g reweighted over 6 decades."""
+    return np.linalg.cholesky(gr._with_weights(g, np.logspace(-3, 3, g.edge_count))._pencil[1])
+
+
+@pytest.mark.parametrize("factor", [
+    lambda: unit_factor(weak_path(1.0)),  # 300 rows: three levels of halves
+    lambda: unit_factor(star(130)),
+    *[lambda n=n: unit_factor(rgg(n)) for n in (65, 66, 150, 600)],  # 64, 65 (odd), 149 and 599 rows
+    lambda: pencil_factor(rgg(150)),  # weights over 6 decades: its own LU exchanges rows
+])
+def test_blocked_triangular_inverse_matches_lu_inverse(factor):
+    C = factor()
+    X = sp._tri_inv(C.copy())
+    assert np.abs(X @ C - np.eye(len(C))).max() <= 1e-12
+    assert not np.triu(X, 1).any()
+    assert np.abs(X - np.linalg.inv(C)).max() <= 1e-12 * np.abs(X).max()
+
+
+def random_positive_graph(rng, n, decades):
+    """Random recursive tree on n nodes plus about 2n chords, weights 10^U(-d/2, d/2)."""
+    pairs = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    pairs |= {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, size=(2 * n, 2)).tolist() if u != v}
+    w = 10.0 ** rng.uniform(-decades / 2, decades / 2, len(pairs))
+    return build_graph(n, [(u, v, float(x)) for (u, v), x in zip(sorted(pairs), w)])
+
+
+def test_cholesky_route_resistances_match_the_lu_route():
+    """Graphs of 65 to 300 grounded rows: relative 1e-10 up to a weight ratio
+    of 1e3, and 1e-14 times the ratio beyond it."""
+    rng = np.random.default_rng(1919)
+    sides = {True: 0, False: 0}
+    for i in range(100):
+        g = random_positive_graph(rng, int(rng.integers(66, 302)), (1.0, 2.0, 4.0, 6.0)[i % 4])
+        assert g._pencil[3] is not None  # A = K K^T: G = M^T M
+        G, (_, G_lu) = g.grounded_inverse, lu_route(g)
+        assert np.array_equal(G, G.T)
+        t, h = g.tails, g.heads
+        r = G[t, t] + G[h, h] - 2.0 * G[t, h]
+        r_lu = G_lu[t, t] + G_lu[h, h] - 2.0 * G_lu[t, h]
+        ratio = g.weights.max() / g.weights.min()
+        assert (np.abs(r - r_lu) <= max(1e-10, 1e-14 * ratio) * r_lu).all()
+        sides[bool(ratio <= 1e3)] += 1
+    assert min(sides.values()) >= 30
+
+
+def test_signed_pencil_above_the_block_size_takes_the_lu_route(monkeypatch):
+    base = rgg(90, seed=3)
+    g = gr._with_weights(base, [-50.0] + [w for _, _, w in base.edges[1:]])
+    verdict = classify_stability(g)
+    assert verdict.classification == "unstable" and verdict.signature.n_zero == 1  # nonsingular
+    assert g._pencil[3] is None  # the Cholesky of the indefinite A fails
+    solves = []
+
+    def counted(A, b, solve=np.linalg.solve):
+        solves.append(np.shape(b))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for u, v in ((0, 1), (0, 89), (17, 64), *[e[:2] for e in g.edges[:3]]):
+        r = effective_resistance(g, u, v)
+        assert r == pytest.approx(effective_resistance(g, u, v, method="pseudoinverse"), rel=1e-9)
+    assert solves == [(89, 89)]  # G, once
+
+
+def test_pencils_up_to_the_block_size_keep_the_lu_route_bit_for_bit():
+    rng = np.random.default_rng(1920)
+    wide = rgg(60)
+    graphs = kernel_graphs(1920)[:-1] + [rgg(65), disjoint_union(rgg(40), star(25)),
+                                         gr._with_weights(wide, 10.0 ** rng.uniform(-3, 3, wide.edge_count))]
+    checked = 0
+    for g in graphs:
+        if classify_stability(g).signature.n_zero != gr.connected_components(g)[0]:
+            continue  # a singular pencil has no G
+        assert len(g._pencil[1]) <= sp._TRI_BLOCK and g._pencil[3] is None
+        lam, G = lu_route(g)
+        assert np.array_equal(g.grounded_eigvals, lam) and np.array_equal(g.grounded_inverse, G)
+        checked += 1
+    assert checked >= 60
+
+
 # ------------------------------------------------------- sector check
 
 
@@ -655,17 +772,19 @@ def test_single_edge_loop_solves_columns_once_then_builds_g(monkeypatch):
     pencils = count_property(monkeypatch, "_pencil")
     inverses = count_property(monkeypatch, "grounded_inverse")
     eigvals = count_property(monkeypatch, "grounded_eigvals")
-    solves = []
+    calls = []
+    for name in ("solve", "cholesky"):
+        def counted(A, *args, call=getattr(np.linalg, name), name=name):
+            calls.append((name, np.shape(A)))
+            return call(A, *args)
 
-    def counted_solve(A, b, solve=np.linalg.solve):
-        solves.append(np.shape(b))
-        return solve(A, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, name, counted)
     for k in range(g.edge_count):
         single_edge_margin(g, k)
     assert pencils == {id(g): 1} and inverses == {id(g): 1} and eigvals == {}
-    assert solves == [(n - 1, 2), (n - 1, n - 1)]  # edge 0's two columns, then G
+    # L1_g's factor, then A = K K^T, whose K^{-1} serves edge 0's two
+    # columns and then G: above the block size no LU solve runs
+    assert calls == [("cholesky", (n - 1, n - 1))] * 2
 
 
 def test_single_edge_loop_leaves_g_without_the_pencil():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,19 @@ def test_sector_spec_validation():
         SectorSpec(((1.0, 1.0),))
     with pytest.raises(GraphConstructionError):
         SectorSpec(((float("inf"), 2.0),))
+
+
+def test_sector_whose_width_squared_overflows_is_refused():
+    """The quadratic condition squares beta - alpha: from about 1.34e154 on
+    that square is inf, so such a sector is refused by name."""
+    cases = [(((-1e300, 1e300),), 0), (((0.0, 1.0), (0.0, 1.4e154)), 1),
+             (((-1e308, 1e308),), 0), (((-0.7e154, 0.7e154),), 0)]
+    for sectors, named in cases:
+        with pytest.raises(GraphConstructionError, match=rf"sector {named} \(.*width squared"):
+            SectorSpec(sectors)
+    widest = SectorSpec(((-6e153, 6e153),) * 3)  # width 1.2e154, square 1.44e308
+    res = sector_stability_check(TRIANGLE, all_edges(TRIANGLE), widest)  # RuntimeWarnings are errors here
+    assert not res.stable and math.isfinite(res.quadratic_min_eig) and math.isfinite(res.proof_form_min_eig)
 
 
 # ------------------------------------------------------------------- M11
