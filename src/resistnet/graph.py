@@ -12,12 +12,13 @@ graph and its arrays go as soon as the last reference to it does.  It
 keeps:
 
 * one factorization that every analysis shares: the grounded Laplacian
-  pencil on triangular factors (``_pencil``), its eigenvalues
-  (``grounded_eigvals``) and the grounded inverse G built from the same
-  factors (``grounded_inverse``);
-  each is built only when an analysis needs it (a positive graph's verdict
-  and resistance gate need none, a graph's first few-edge margin only the
-  pencil), and the pencil is never kept beside G;
+  pencil A = C^{-1} L_g C^{-T} on the triangular factor C of the unit
+  Laplacian (``_pencil``), its eigenvalues (``grounded_eigvals``) and the
+  grounded inverse G (``grounded_inverse``); only solves with A factor it,
+  and keep no factor; each is built only when an analysis needs it (a
+  positive graph's verdict and resistance gate need none, a graph's first
+  few-edge margin only the pencil and a solve for its own columns), and
+  the pencil is never kept beside G;
 * one read-only eigendecomposition of L itself (``_spectrum``) for every
   simulation's step guard and run and the case study's resistance scan;
 * its neighbor lists, shared by the breadth-first search (component labels,
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -218,16 +220,16 @@ class WeightedGraph:
         return lam, V
 
     @_cached_property
-    def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray | None]:
-        """``(C^{-1}, A, ground, K^{-1})`` of the grounded Laplacian pencil,
-        kept only until G (``grounded_inverse``) exists.
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """``(C^{-1}, A, ground)`` of the grounded Laplacian pencil, kept only
+        until G (``grounded_inverse``) exists.
 
         Grounding deletes each component's root, its smallest node, and
         ``ground`` indexes the kept rows and columns: ``[1:, 1:]`` on a
         connected graph.  C is the Cholesky factor of the grounded
-        unit-weight Laplacian L1_g, A = C^{-1} L_g C^{-T}, and A = K K^T
-        when A is positive definite (every stable graph) with more than
-        ``spectral._TRI_BLOCK`` rows, else K^{-1} is None.
+        unit-weight Laplacian L1_g and A = C^{-1} L_g C^{-T}.  A is not
+        factored here: eigenvalues need no factor, and G and the few-edge
+        column solve each factor A for themselves.
         """
         count, _, _, roots = self._bfs
         if count == 1:
@@ -239,7 +241,7 @@ class WeightedGraph:
         Cinv = sp._tri_inv(np.linalg.cholesky(unit[ground]))
         del unit  # not live beside A and its factor
         A = Cinv @ laplacian(self)[ground] @ Cinv.T
-        return Cinv, A, ground, sp._cholesky_inv(A)
+        return Cinv, A, ground
 
     @_cached_property
     def grounded_eigvals(self) -> np.ndarray:
@@ -258,22 +260,24 @@ class WeightedGraph:
     def grounded_inverse(self) -> np.ndarray:
         """n x n grounded inverse G = C^{-T} A^{-1} C^{-1} = L_g^{-1}, zero at the deleted nodes.
 
-        G_g = M^T M with M = K^{-1} C^{-1} when the pencil holds K^{-1};
-        else C^{-T} X with A X = C^{-1} solved by LU, so a signed
-        nonsingular L_g works too: d^T L^+ d = d^T G d for d = e_u - e_v
-        within one component.  Callers check singularity through the
-        verdict first; building G drops the pencil.
+        G_g = M^T M with M = K^{-1} C^{-1} when A = K K^T has more than
+        ``spectral._TRI_BLOCK`` rows and its Cholesky succeeds (every
+        stable graph); else C^{-T} X with A X = C^{-1} solved by LU, so a
+        signed nonsingular L_g works too: d^T L^+ d = d^T G d for
+        d = e_u - e_v within one component.  Callers check singularity
+        through the verdict first; building G drops the pencil.
         """
-        Cinv, A, ground, Kinv = self._pencil
+        Cinv, A, ground = self._pencil
         del self.__dict__["_pencil"]
-        if Kinv is None:
+        K = sp._cholesky(A)
+        if K is None:
             M = np.linalg.solve(A, Cinv)
             del A
             left = Cinv.T
         else:  # A and then both factors go before G: at most three arrays live
             del A
-            M = Kinv @ Cinv
-            del Kinv, Cinv
+            M = sp._tri_inv(K) @ Cinv
+            del K, Cinv
             left = M.T
         G = np.zeros((self.node_count, self.node_count))
         G[ground] = left @ M
@@ -319,7 +323,9 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
     ------
     GraphConstructionError
         On out-of-range endpoints, self-loops, duplicate node pairs, or
-        non-finite / zero weights.  Messages name the offending edge.
+        non-finite / zero weights; messages name the offending edge.  On
+        weights under which a node's weighted degree is beyond the float
+        range (``_check_degrees``); the message names the node.
 
     A list of at least ``_COLUMN_MIN_EDGES`` ``(int, int, int or float)``
     tuples or lists is checked and built by whole-array operations
@@ -342,6 +348,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
             return g
     canon: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
+    large = False
     for k, edge in enumerate(edges):
         try:
             u, v, w = edge
@@ -362,8 +369,10 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
         if u == v:
             raise GraphConstructionError(f"edge {k} ({u}, {v}): self-loops are not allowed")
         w = float(w)
-        if not math.isfinite(w):
-            raise GraphConstructionError(f"edge {k} ({u}, {v}): weight {w!r} is not finite")
+        if not abs(w) <= _HUGE:  # non-finite, or so large that a degree may overflow
+            if not math.isfinite(w):
+                raise GraphConstructionError(f"edge {k} ({u}, {v}): weight {w!r} is not finite")
+            large = True
         if w == 0.0:
             raise GraphConstructionError(
                 f"edge {k} ({u}, {v}): weight zero is not a valid edge; drop the edge instead"
@@ -373,13 +382,15 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
             raise GraphConstructionError(f"edge {k} ({u}, {v}): duplicate node pair")
         seen.add((tail, head))
         canon.append((tail, head, w))
+    if large:
+        _check_degrees(node_count, *zip(*canon))
     return WeightedGraph(int(node_count), tuple(canon))
 
 
 def _graph_from_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> WeightedGraph | None:
     """The graph of endpoint and weight columns that pass whole-array
     checks, with its ``tails``/``heads``/``weights`` arrays already set;
-    None when any check fails.
+    None when any check fails but the degree check, which raises.
 
     Accepts ``int`` endpoints in ``[0, n)`` and ``int``/``float`` weights
     that are finite and nonzero, with no self-loop and no node pair twice
@@ -406,6 +417,7 @@ def _graph_from_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> Wei
         or (keys[1:] == keys[:-1]).any()
     ):
         return None
+    _check_degrees(n, tails, heads, weights)
     g = WeightedGraph(n, tuple(zip(tails.tolist(), heads.tolist(), weights.tolist())))
     g.__dict__.update(tails=tails, heads=heads, weights=weights)  # the cached properties' values
     return g
@@ -417,6 +429,36 @@ def _graph_from_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> Wei
 _COLUMN_MIN_EDGES = 32
 # largest node count whose pair keys tail * n + head fit in int64
 _MAX_KEYED_NODES = math.isqrt(2 ** 63 - 1)
+
+
+# No degree overflows while every |w| is at most this: no edge list in
+# memory gives one node 2**53 edges.  The per-edge loop checks no degree below it.
+_HUGE = sys.float_info.max / 2 ** 53
+
+
+def _check_degrees(n: int, tails: Sequence[int], heads: Sequence[int], weights: Sequence[float]) -> None:
+    """Refuse weights under which a node's weighted degree, the sum of |w|
+    over its edges, is beyond the float range.
+
+    The Laplacian's diagonal, the pencil and every integrator step add a
+    node's weights, and no sum of them is then finite.  Degrees are summed,
+    exactly (``math.fsum``), only when some |w| exceeds float max / (n - 1),
+    as a node has at most n - 1 edges.
+    """
+    w = np.abs(np.asarray(weights, dtype=float))
+    if not w.size or w.max() <= sys.float_info.max / max(n - 1, 1):
+        return
+    incident: list[list[float]] = [[] for _ in range(n)]
+    for tail, head, x in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist(), w.tolist()):
+        incident[tail].append(x)
+        incident[head].append(x)
+    for node, terms in enumerate(incident):
+        try:
+            math.fsum(terms)
+        except OverflowError:
+            raise GraphConstructionError(
+                f"node {node}: its weighted degree (the sum of |w| over its edges) is beyond the float range"
+            ) from None
 
 
 def incidence_matrix(g: WeightedGraph) -> np.ndarray:
@@ -789,18 +831,17 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError("field 'edges' must be a list of {u, v, w} objects")
-    if nodes >= 1 and len(raw_edges) >= _COLUMN_MIN_EDGES and set(map(type, raw_edges)) == {dict}:
-        try:
-            columns = [list(map(itemgetter(f), raw_edges)) for f in "uvw"]
-        except KeyError:
-            pass
-        else:
-            g = _graph_from_columns(nodes, *columns)
-            if g is not None:
-                return g
-    triples = _edge_triples(raw_edges)
     try:
-        return build_graph(nodes, triples)
+        if nodes >= 1 and len(raw_edges) >= _COLUMN_MIN_EDGES and set(map(type, raw_edges)) == {dict}:
+            try:
+                columns = [list(map(itemgetter(f), raw_edges)) for f in "uvw"]
+            except KeyError:
+                pass
+            else:
+                g = _graph_from_columns(nodes, *columns)
+                if g is not None:
+                    return g
+        return build_graph(nodes, _edge_triples(raw_edges))
     except GraphConstructionError as exc:
         raise GraphFormatError(str(exc)) from exc
 
@@ -844,14 +885,35 @@ def load_graph(path) -> WeightedGraph:
             raise GraphFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: the file is not UTF-8 text ({exc.reason})") from exc
     try:
         return graph_from_dict(data)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
 
+# One item of a graph file's edge list, laid out as ``json.dumps(..., indent=2)`` lays it out.
+_EDGE_ITEM = '    {\n      "u": %d,\n      "v": %d,\n      "w": %r\n    }'
+
+
 def save_graph(g: WeightedGraph, path) -> None:
-    """Write the JSON document form with stable key order."""
+    """Write the JSON document form with stable key order.
+
+    The text is ``json.dumps(graph_to_dict(g), indent=2, sort_keys=True)``
+    and a newline, byte for byte, made by one ``%`` fill of a per-edge item
+    template over the edge columns and written by one ``fh.write``.  The
+    weights, finite in every graph ``build_graph`` makes, are written by
+    ``float.__repr__``, as the json module writes floats.
+    """
+    m = g.edge_count
+    if m:
+        values: list = [None] * (3 * m)
+        values[0::3] = g.tails.tolist()
+        values[1::3] = g.heads.tolist()
+        values[2::3] = g.weights.tolist()
+        edges = "[\n" + ",\n".join([_EDGE_ITEM] * m) % tuple(values) + "\n  ]"
+    else:
+        edges = "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n  "edges": {edges},\n  "nodes": {g.node_count}\n}}\n')

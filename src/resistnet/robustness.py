@@ -18,13 +18,13 @@ Margins read the graph's cached grounded inverse G = L_g^{-1}: M11(0) is
 the resistance Gram over E_delta read from entries of G, and the per-edge
 resistances are its diagonal.  A few-edge set needs only G's rows and
 columns at its endpoints, so the graph's first such request solves the
-pencil for those columns alone, through the same factor of the pencil
-that G is built from, and G is built on the next.  sigma_bar
-needs no n x m channel: it is 1/lambda_min of the grounded pencil when
-E_delta is every edge, otherwise the top eigenvalue of the smaller of the
-|E_delta|-square Gram and the (n-1)-square K^T L_delta,g K (K K^T = G_g,
-L_delta the unit Laplacian of E_delta).  ``m11_frequency_response`` reads
-the channel in node form; the forest form above is its tested reference.
+pencil for those columns alone, on G's route but without its triangular
+inverse, and G is built on the next.  sigma_bar needs no n x m channel:
+it is 1/lambda_min of the grounded pencil when E_delta is every edge,
+otherwise the top eigenvalue of the smaller of the |E_delta|-square Gram
+and the (n-1)-square K^T L_delta,g K (K K^T = G_g, L_delta the unit
+Laplacian of E_delta).  ``m11_frequency_response`` reads the channel in
+node form; the forest form above is its tested reference.
 """
 
 from __future__ import annotations
@@ -248,24 +248,28 @@ def _inverse_at(g: gr.WeightedGraph, t: np.ndarray, h: np.ndarray) -> tuple[np.n
     G itself when it is on the graph.  Otherwise the graph's first request
     whose endpoints U are fewer than n - 1 solves the pencil for those
     columns alone, G_UU = S_U^T A^{-1} S_U with S_U = C^{-1}[:, U] (zero for
-    the grounded node 0): Z^T Z with Z = K^{-1} S_U when the pencil holds
-    K^{-1} (A = K K^T), else by an LU solve, as G is built.  The next such
-    request builds G, so a loop over every edge pays one extra solve.
+    the grounded node 0), on the route G takes: Z^T Z with Z = K^{-1} S_U
+    by a triangular solve where A = K K^T has a Cholesky factor
+    (``spectral._cholesky``), else by an LU solve.  So both agree to
+    rounding even across weak links, and no triangular inverse is formed.
+    The next such request builds G, so a loop over every edge pays one
+    extra solve.
     """
     if "grounded_inverse" not in g.__dict__ and ("columns",) not in g._memo:
         nodes = np.array(sorted({*t.tolist(), *h.tolist()}))
         if nodes.size < g.node_count - 1:
             g._memo[("columns",)] = True
-            Cinv, A, _, Kinv = g._pencil
+            Cinv, A, _ = g._pencil
             S = np.zeros((len(Cinv), nodes.size))
             kept = nodes > 0
             S[:, kept] = Cinv[:, nodes[kept] - 1]
-            if Kinv is None:
-                Z, left = np.linalg.solve(A, S), S.T
+            K = sp._cholesky(A)
+            if K is None:
+                G_UU = S.T @ np.linalg.solve(A, S)
             else:
-                Z = Kinv @ S
-                left = Z.T
-            return left @ Z, np.searchsorted(nodes, t), np.searchsorted(nodes, h)
+                Z = sp._tri_solve(K, S)
+                G_UU = Z.T @ Z
+            return G_UU, np.searchsorted(nodes, t), np.searchsorted(nodes, h)
     return g.grounded_inverse, t, h
 
 

@@ -245,7 +245,8 @@ def _check_step(dt: float, rate: float) -> None:
 
 
 def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
-    """Weights w + delta, delta a dict {edge index: change} or a length-m vector."""
+    """Weights w + delta, delta a dict {edge index: change} or a length-m
+    vector; refused when one is not finite or a node's degree overflows."""
     if isinstance(delta, dict):
         if not gr._are_indices(delta):
             raise GraphConstructionError(f"perturbed edge indices must be integers, got {list(delta)!r}")
@@ -267,6 +268,7 @@ def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
         raise GraphConstructionError(f"perturbed weight of edge {bad[0]} is not finite ({w[bad[0]]})")
+    gr._check_degrees(g.node_count, g.tails, g.heads, w)
     return w
 
 
@@ -505,8 +507,9 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
 
     ``delta`` is None, a dict {edge index: additive perturbation}, or a full
     length-m vector; perturbed weights may pass through zero (the edge
-    simply drops out of the dynamics; a non-finite one raises
-    GraphConstructionError).  Raises StepSizeError when dt >= 2/lambda_max(L).
+    simply drops out of the dynamics; a non-finite one, or one under which
+    a node's weighted degree overflows, raises GraphConstructionError).
+    Raises StepSizeError when dt >= 2/lambda_max(L).
     The cached eigendecomposition of L (``g._spectrum``, or that of a copy
     of g with the perturbed weights) serves the step guard and the run:
     zero-input runs are evaluated in closed form (:func:`_run_modal`), runs

@@ -1,5 +1,5 @@
 """Symmetric-matrix kernels: inertia signatures, pseudoinverse, spectral norm,
-and the triangular inverses the graph pencil is built on.
+and the triangular inverses and solves the graph pencil is built on.
 
 Zero classification is relative: an eigenvalue counts as zero when
 |lambda| <= tol * max(floor, max_i |lambda_i|), with tol defaulting to 1e-9.
@@ -89,8 +89,9 @@ def pseudoinverse(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 # Triangular factors of at most this many rows are inverted by one
-# ``np.linalg.inv``; pencils of at most this many rows keep that inverse and
-# an LU solve for G.  Larger factors go through ``_tri_inv``'s recursion.
+# ``np.linalg.inv`` and solved by one ``np.linalg.solve``; pencils of at most
+# this many rows keep that inverse and LU solves.  Larger factors go through
+# the recursions of ``_tri_inv`` and ``_tri_solve``.
 _TRI_BLOCK = 64
 _LOWER = np.tri(_TRI_BLOCK, dtype=bool)
 
@@ -123,16 +124,30 @@ def _tri_inv(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _cholesky_inv(A: np.ndarray) -> np.ndarray | None:
-    """K^{-1} for A = K K^T, by ``_tri_inv``; None when A has at most
-    ``_TRI_BLOCK`` rows or is not positive definite."""
+def _cholesky(A: np.ndarray) -> np.ndarray | None:
+    """K with A = K K^T; None when A has at most ``_TRI_BLOCK`` rows or is
+    not positive definite, where callers solve with A by LU instead."""
     if len(A) <= _TRI_BLOCK:
         return None
     try:
-        K = np.linalg.cholesky(A)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    return _tri_inv(K)
+
+
+def _tri_solve(K: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """K^{-1} S for the lower-triangular K, by halves as ``_tri_inv`` inverts
+    K: Z1 = K11^{-1} S1, then Z2 = K22^{-1} (S2 - K21 Z1).  Blocks of at most
+    ``_TRI_BLOCK`` rows are solved by ``np.linalg.solve``.  For a few
+    columns it costs O(n^2) beyond the blocks, against ``_tri_inv``'s
+    O(n^3), and agrees with ``_tri_inv(K) @ S`` to rounding.
+    """
+    n = len(K)
+    if n <= _TRI_BLOCK:
+        return np.linalg.solve(K, S)
+    h = n // 2
+    Z1 = _tri_solve(K[:h, :h], S[:h])
+    return np.vstack((Z1, _tri_solve(K[h:, h:], S[h:] - K[h:, :h] @ Z1)))
 
 
 def spectral_norm(A: np.ndarray) -> float:

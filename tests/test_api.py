@@ -4,7 +4,10 @@ every public zero threshold ``tol`` is checked."""
 import importlib
 import inspect
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +29,25 @@ def test_every_public_name_is_exported_by_the_package(name):
 def test_the_analysis_modules_declare_their_public_names():
     declared = {name for name in MODULES if hasattr(importlib.import_module(f"resistnet.{name}"), "__all__")}
     assert {"graph", "resistance", "robustness", "simulation", "spectral", "stability"} <= declared
+
+
+IMPORT_PROBE = """
+import sys
+import resistnet
+print(*[name for name in ("resistnet.cli", "resistnet._jsontext", "resistnet._csvtext") if name in sys.modules])
+"""
+
+
+def test_import_loads_no_cli_and_no_text_engine():
+    # every module compiled at import is paid by each fresh interpreter that
+    # runs without bytecode caches; the CLI and the JSON and CSV text engines
+    # load when first used
+    src = os.path.dirname(os.path.dirname(resistnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # stable, with a negative edge that is no cut, so every call reaches a zero cut

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -154,6 +155,32 @@ def test_analyze_weight_beyond_float_range_exit_1(capsys, tmp_path):
     assert code == 1
     assert err.startswith("resistnet: error: ")
     assert "edges[0]" in err and "float range" in err
+
+
+def test_analyze_file_that_is_not_utf8_exit_1(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"nodes": 1, "edges": []}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and not out
+    assert err.startswith("resistnet: error: ") and "not UTF-8 text" in err and err.count("\n") == 1
+
+
+def test_analyze_overflowing_degree_exit_1(capsys, tmp_path):
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"nodes": 3, "edges": [{"u": u, "v": v, "w": 1e308}
+                                                      for u, v in ((0, 1), (0, 2), (1, 2))]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and not out
+    assert err == f"resistnet: error: {path}: node 0: its weighted degree (the sum of |w| over its edges) " \
+                  "is beyond the float range\n"
+
+
+def test_analyze_largest_finite_degrees_warn_nothing(capsys, tmp_path):
+    path = write_graph(tmp_path, "big.json", 3, [(0, 1, 8.9e307), (0, 2, 8.9e307), (1, 2, 8.9e307)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0 and json.loads(out)["stability"]["classification"] == "stable_agreement"
 
 
 def test_analyze_thresholds_reported(capsys, tmp_path):
@@ -390,7 +417,7 @@ def test_few_edge_margin_on_a_positive_graph_needs_no_pencil_eigensolve(capsys, 
         square = [name for name, shape in calls if shape == (n - 1, n - 1)]
         if n - 1 <= resistnet.spectral._TRI_BLOCK:
             assert square == ["inv"]  # the pencil's C^{-1}
-        else:  # C^{-1} and K^{-1} are inverted by halves
+        else:  # C^{-1} is inverted by halves
             assert square == [] and ("inv", (49, 49)) in calls
 
 
@@ -417,6 +444,15 @@ def test_simulate_non_finite_perturbed_weight_exit_1(capsys, tmp_path, triangle_
     assert code == 1 and not out
     assert err.startswith("resistnet: error: perturbed weight of edge") and "not finite" in err
     assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_perturbed_degree_overflow_exit_1(capsys, tmp_path, triangle_file):
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "simulate", triangle_file, "--perturb", "0=1.7e308", "--perturb", "1=1.7e308",
+                         "--dt", "0.01", "--out", str(out_csv))
+    assert code == 1 and not out
+    assert err.startswith("resistnet: error: node 0: its weighted degree") and err.count("\n") == 1
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "margin"])

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -691,3 +693,121 @@ def test_graph_json_schema_shape(tmp_path):
     save_graph(g, path)
     doc = json.loads(path.read_text())
     assert doc == {"nodes": 2, "edges": [{"u": 0, "v": 1, "w": 0.5}]}
+
+
+def json_layout(g):
+    """The graph file as the json module lays it out: the oracle for ``save_graph``."""
+    return (json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n").encode()
+
+
+def mixed_weights(rng, m, n):
+    """m signed weights mixing 24 decades, subnormals, integral floats and +-1e308/(n-1)."""
+    special = [5e-324, -2.5e-310, 1e-315, 2.0, -7.0, 1e22, 3.0e15, 1e308 / (n - 1), -1e308 / (n - 1)]
+    w = (rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-12, 12, m)).tolist()
+    for k, x in enumerate(special[:m]):
+        w[(k * 7) % m] = x
+    return w
+
+
+def writer_graphs(rng):
+    """Graphs from every constructor, on both sides of the whole-array path."""
+    pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]  # 66
+    order = rng.permutation(len(pairs))
+    w = mixed_weights(rng, len(pairs), 12)
+    long_edges = [(*pairs[i], x) for i, x in zip(order, w)]
+    graphs = {"edgeless": build_graph(5, []), "one node": build_graph(1, [])}
+    for m in (gr._COLUMN_MIN_EDGES - 1, gr._COLUMN_MIN_EDGES, len(pairs)):
+        graphs[f"build_graph, {m} edges"] = build_graph(12, long_edges[:m])
+        doc = {"nodes": 12, "edges": [{"u": u, "v": v, "w": x} for u, v, x in long_edges[:m]]}
+        graphs[f"graph_from_dict, {m} edges"] = graph_from_dict(json.loads(json.dumps(doc)))
+    for n in (2, 50, 500, 3000):
+        graphs[f"rgg {n}"] = generate_rgg(n, 1.9 * math.sqrt(math.log(n) / (math.pi * n)), seed=n)
+    signed = graphs[f"build_graph, {len(pairs)} edges"]
+    graphs["positive subgraph"] = positive_subgraph(signed)
+    graphs["negative subgraph"] = negative_subgraph(signed)
+    graphs["zero weights"] = gr._with_weights(signed, [0.0 if k % 5 == 0 else -0.0 if k % 5 == 1 else x
+                                                       for k, (_, _, x) in enumerate(signed.edges)])
+    return graphs
+
+
+def test_save_graph_writes_the_json_layout_byte_for_byte(tmp_path):
+    graphs = writer_graphs(np.random.default_rng(20))
+    assert graphs["negative subgraph"].edge_count and graphs["rgg 3000"].edge_count > 40000
+    for name, g in graphs.items():
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert path.read_bytes() == json_layout(g), name
+        if all(w != 0.0 for _, _, w in g.edges):  # bit for bit back
+            back = load_graph(path)
+            assert back.node_count == g.node_count
+            assert [(u, v, w.hex()) for u, v, w in back.edges] == [(u, v, w.hex()) for u, v, w in g.edges]
+        else:  # a zero weight is no edge of a graph file
+            with pytest.raises(GraphFormatError, match="weight zero"):
+                load_graph(path)
+    assert b'"edges": [],' in json_layout(graphs["edgeless"])
+
+
+def test_save_graph_needs_no_json_encoder(tmp_path, monkeypatch):
+    g = writer_graphs(np.random.default_rng(21))["build_graph, 66 edges"]
+    want = json_layout(g)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the json encoder was called")
+
+    monkeypatch.setattr(json, "dump", refused)
+    monkeypatch.setattr(json, "dumps", refused)
+    save_graph(g, tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == want
+
+
+def test_load_graph_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"nodes": 1, "edges": []}'.encode("utf-16-le"))
+    with pytest.raises(GraphFormatError, match="utf16.json: the file is not UTF-8 text"):
+        load_graph(path)
+
+
+# ---------------------------------------------------------- degree overflow
+
+
+def overflowing_nodes(n, edges):
+    """Nodes whose exact sum of |w| rounds beyond the float range, ties to even."""
+    totals = [Fraction(0)] * n
+    for u, v, w in edges:
+        totals[u] += Fraction(abs(w))
+        totals[v] += Fraction(abs(w))
+    return [node for node, total in enumerate(totals) if total >= 2 ** 1024 - 2 ** 970]
+
+
+def test_degree_overflow_is_refused_exactly():
+    rng = np.random.default_rng(52)
+    top = sys.float_info.max
+    refused = accepted = 0
+    for trial in range(300):
+        n = int(rng.integers(3, 9)) if trial % 2 else 40  # the per-edge loop, or the whole-array path
+        pairs = [(0, v) for v in range(1, n)] + [(u, u + 1) for u in range(1, n - 1)]
+        scale = top / (3.0 if n < 40 else 40.0)
+        w = rng.choice([-1.0, 1.0], len(pairs)) * scale * rng.uniform(0.6, 1.4, len(pairs))
+        edges = [(u, v, float(x)) for (u, v), x in zip(pairs, w)]
+        over = overflowing_nodes(n, edges)
+        doc = {"nodes": n, "edges": [{"u": u, "v": v, "w": x} for u, v, x in edges]}
+        if over:
+            message = f"node {over[0]}: its weighted degree (the sum of |w| over its edges) is beyond the float range"
+            with pytest.raises(GraphConstructionError) as exc:
+                build_graph(n, edges)
+            assert str(exc.value) == message
+            with pytest.raises(GraphFormatError) as exc:
+                graph_from_dict(doc)
+            assert str(exc.value) == message
+            refused += 1
+        else:
+            assert build_graph(n, edges) == graph_from_dict(doc) == per_edge_build_graph(n, edges)
+            accepted += 1
+    assert min(refused, accepted) >= 50
+    half = top / 2
+    assert build_graph(3, [(0, 1, half), (0, 2, -half)]).edge_count == 2  # a degree of exactly the float max
+    with pytest.raises(GraphConstructionError, match="node 0"):  # the tie rounds up, beyond it
+        build_graph(3, [(0, 1, half), (0, 2, float(np.nextafter(half, top)))])
+    with pytest.raises(GraphConstructionError, match="node 0"):
+        build_graph(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)])
+    assert build_graph(3, [(0, 1, 8.9e307), (0, 2, 8.9e307), (1, 2, 8.9e307)]).edge_count == 3

@@ -442,6 +442,22 @@ def test_blocked_triangular_inverse_matches_lu_inverse(factor):
     assert np.abs(X - np.linalg.inv(C)).max() <= 1e-12 * np.abs(X).max()
 
 
+@pytest.mark.parametrize("factor", [
+    lambda: unit_factor(rgg(40)),  # 39 rows: one block
+    lambda: unit_factor(weak_path(1.0)),
+    *[lambda n=n: unit_factor(rgg(n)) for n in (65, 66, 150)],
+    lambda: pencil_factor(rgg(150)),
+])
+@pytest.mark.parametrize("columns", [1, 2, 7])
+def test_blocked_triangular_solve_matches_the_inverse(factor, columns):
+    C = factor()
+    S = np.random.default_rng(columns).standard_normal((len(C), columns))
+    Z = sp._tri_solve(C, S)
+    assert Z.shape == S.shape
+    assert np.abs(C @ Z - S).max() <= 1e-12 * np.abs(S).max()
+    assert np.abs(Z - sp._tri_inv(C.copy()) @ S).max() <= 1e-12 * np.abs(Z).max()
+
+
 def random_positive_graph(rng, n, decades):
     """Random recursive tree on n nodes plus about 2n chords, weights 10^U(-d/2, d/2)."""
     pairs = {(int(rng.integers(0, i)), i) for i in range(1, n)}
@@ -457,7 +473,7 @@ def test_cholesky_route_resistances_match_the_lu_route():
     sides = {True: 0, False: 0}
     for i in range(100):
         g = random_positive_graph(rng, int(rng.integers(66, 302)), (1.0, 2.0, 4.0, 6.0)[i % 4])
-        assert g._pencil[3] is not None  # A = K K^T: G = M^T M
+        assert sp._cholesky(g._pencil[1]) is not None  # A = K K^T: G = M^T M
         G, (_, G_lu) = g.grounded_inverse, lu_route(g)
         assert np.array_equal(G, G.T)
         t, h = g.tails, g.heads
@@ -474,7 +490,7 @@ def test_signed_pencil_above_the_block_size_takes_the_lu_route(monkeypatch):
     g = gr._with_weights(base, [-50.0] + [w for _, _, w in base.edges[1:]])
     verdict = classify_stability(g)
     assert verdict.classification == "unstable" and verdict.signature.n_zero == 1  # nonsingular
-    assert g._pencil[3] is None  # the Cholesky of the indefinite A fails
+    assert sp._cholesky(g._pencil[1]) is None  # the Cholesky of the indefinite A fails
     solves = []
 
     def counted(A, b, solve=np.linalg.solve):
@@ -497,7 +513,7 @@ def test_pencils_up_to_the_block_size_keep_the_lu_route_bit_for_bit():
     for g in graphs:
         if classify_stability(g).signature.n_zero != gr.connected_components(g)[0]:
             continue  # a singular pencil has no G
-        assert len(g._pencil[1]) <= sp._TRI_BLOCK and g._pencil[3] is None
+        assert len(g._pencil[1]) <= sp._TRI_BLOCK and sp._cholesky(g._pencil[1]) is None
         lam, G = lu_route(g)
         assert np.array_equal(g.grounded_eigvals, lam) and np.array_equal(g.grounded_inverse, G)
         checked += 1
@@ -774,17 +790,20 @@ def test_single_edge_loop_solves_columns_once_then_builds_g(monkeypatch):
     eigvals = count_property(monkeypatch, "grounded_eigvals")
     calls = []
     for name in ("solve", "cholesky"):
-        def counted(A, *args, call=getattr(np.linalg, name), name=name):
-            calls.append((name, np.shape(A)))
-            return call(A, *args)
+        def counted(*operands, call=getattr(np.linalg, name), name=name):
+            calls.append((name, *map(np.shape, operands)))
+            return call(*operands)
 
         monkeypatch.setattr(np.linalg, name, counted)
     for k in range(g.edge_count):
         single_edge_margin(g, k)
     assert pencils == {id(g): 1} and inverses == {id(g): 1} and eigvals == {}
-    # L1_g's factor, then A = K K^T, whose K^{-1} serves edge 0's two
-    # columns and then G: above the block size no LU solve runs
-    assert calls == [("cholesky", (n - 1, n - 1))] * 2
+    # L1_g's factor, then A = K K^T and K^{-1} S_U for edge 0's two columns,
+    # solved on K's 49- and 50-row diagonal blocks, then A's factor again
+    # for G, which serves every later edge: no LU solve of A runs
+    square = (n - 1, n - 1)
+    blocks = [("solve", (k, k), (k, 2)) for k in (49, 50, 50, 50)]
+    assert calls == [("cholesky", square)] * 2 + blocks + [("cholesky", square)]
 
 
 def test_single_edge_loop_leaves_g_without_the_pencil():

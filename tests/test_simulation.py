@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,16 +214,25 @@ def test_perturbation_forms_agree():
 
 
 @pytest.mark.parametrize("delta", [
-    {0: np.nan}, {1: np.inf}, {2: -np.inf}, {0: 1.0, 2: 1e308},
+    {0: np.nan}, {1: np.inf}, {2: -np.inf}, {0: 1.0, 1: 1e308},
     np.array([0.0, np.nan, 0.0]), np.array([0.0, 1.7e308, 0.0]),
 ])
 def test_non_finite_perturbed_weight_is_refused(delta):
     # an eigensolve of a Laplacian with a nan or inf entry does not converge;
     # the perturbed weights are refused before it is built, an overflowing
     # sum without a RuntimeWarning
-    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.7e308), (1, 2, 1e308)])
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.7e308), (1, 2, 1.0)])
     with pytest.raises(GraphConstructionError, match="not finite"):
         simulate_linear(g, delta, config())
+
+
+@pytest.mark.parametrize("delta", [{0: 1.7e308, 1: 1.7e308}, np.array([0.0, 1.7e308, 1.7e308])])
+def test_perturbed_degree_overflow_is_refused(delta):
+    # each weight stays finite, but a node's degree does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphConstructionError, match="^node [02]: its weighted degree"):
+            simulate_linear(TRIANGLE, delta, config())
 
 
 def test_exogenous_input_drives_state():
