@@ -186,7 +186,7 @@ class WeightedGraph:
         """Analysis results on this graph, keyed by analysis and arguments:
         ``stability`` keeps its verdict per zero threshold here and
         ``robustness`` its gains per uncertain-edge set and threshold, and
-        whether its one few-edge column solve has run."""
+        ``_inverse_at`` whether its one few-edge column solve has run."""
         return {}
 
     @_cached_property
@@ -283,6 +283,32 @@ class WeightedGraph:
         G[ground] = left @ M
         return G
 
+    def _inverse_at(self, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """G's rows and columns at the edges' endpoints (all of G once it is
+        built), with the endpoints' indices into them; connected graphs only.
+
+        The first request whose endpoints U are fewer than n - 1 solves the
+        pencil for those columns alone on G's route, so the two agree to
+        rounding across weak links: G_UU = Z^T Z with Z = K^{-1} C^{-1}[:, U]
+        (zero at the grounded node 0) by a triangular solve where A = K K^T,
+        else S^T A^{-1} S by LU.  The next request builds G."""
+        if "grounded_inverse" not in self.__dict__ and ("columns",) not in self._memo:
+            nodes = np.array(sorted({*t.tolist(), *h.tolist()}))
+            if nodes.size < self.node_count - 1:
+                self._memo[("columns",)] = True
+                Cinv, A, _ = self._pencil
+                S = np.zeros((len(Cinv), nodes.size))
+                kept = nodes > 0
+                S[:, kept] = Cinv[:, nodes[kept] - 1]
+                K = sp._cholesky(A)
+                if K is None:
+                    G_UU = S.T @ np.linalg.solve(A, S)
+                else:
+                    Z = sp._tri_solve(K, S)
+                    G_UU = Z.T @ Z
+                return G_UU, np.searchsorted(nodes, t), np.searchsorted(nodes, h)
+        return self.grounded_inverse, t, h
+
 
 @dataclass(frozen=True)
 class ForestDecomposition:
@@ -334,7 +360,7 @@ def build_graph(node_count: int, edges: Iterable[Sequence]) -> WeightedGraph:
     (``np.integer`` endpoints, say), and for shorter lists, where it is the
     faster of the two.
     """
-    if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)) or node_count < 1:
+    if not _is_index(node_count) or node_count < 1:
         raise GraphConstructionError(f"node_count must be a positive integer, got {node_count!r}")
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
@@ -600,9 +626,59 @@ def _with_weights(g: WeightedGraph, weights: Sequence[float]) -> WeightedGraph:
     return WeightedGraph(g.node_count, edges)
 
 
-def _are_indices(values) -> bool:
-    """True when every value is an int or a numpy integer; a bool is not an index."""
-    return all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values)))
+def _indices(values: Iterable, label: str, bound: int | None = None,
+             error: type[Exception] = GraphConstructionError, pairs: bool = False,
+             distinct: bool = False) -> tuple:
+    """``values`` read once, as a tuple of ints, or of ``(u, v)`` int pairs
+    when ``pairs``: every index argument past ``build_graph``'s edge list
+    passes here.
+
+    An index is an ``int`` or a numpy integer, never a bool; with a
+    ``bound`` it lies in ``[0, bound)``, and a pair joins two different
+    nodes.  ``distinct`` indices are returned sorted, each once.  Otherwise
+    raises ``error``, led by ``label``, naming the first bad value (or pair).
+    """
+    items = tuple(values)
+    if pairs:
+        return tuple(_index_pair(item, label, bound, error) for item in items)
+    if not set(map(type, items)) <= {int}:
+        for x in items:
+            if not _is_index(x):
+                raise error(f"{label} must be integers, got {x!r}")
+        items = tuple(map(int, items))
+    if bound is not None and items and (min(items) < 0 or max(items) >= bound):
+        bad = next(x for x in items if not 0 <= x < bound)
+        raise error(f"{label} must lie in [0, {bound}), got {bad}")
+    if distinct:
+        items = tuple(sorted(items))
+        twice = [a for a, b in zip(items, items[1:]) if a == b]
+        if twice:
+            raise error(f"{label} must be distinct, got {twice[0]} twice")
+    return items
+
+
+def _is_index(x) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _index_pair(item, label: str, bound: int | None, error: type[Exception]) -> tuple[int, int]:
+    """One item of ``_indices``'s pair form, as two ints."""
+    try:
+        pair = tuple(item)
+    except TypeError:  # not iterable, or a 0-d array
+        pair = ()
+    if len(pair) != 2:
+        pair, reason = item, "expected two nodes (u, v)"
+    elif not (_is_index(pair[0]) and _is_index(pair[1])):
+        reason = "nodes must be integers"
+    elif bound is not None and not (0 <= pair[0] < bound and 0 <= pair[1] < bound):
+        reason = f"nodes must lie in [0, {bound})"
+    elif pair[0] == pair[1]:
+        reason = "its two ends are the same node"
+    else:
+        return int(pair[0]), int(pair[1])
+    raise error(f"{label} {pair!r} is not a valid node pair: {reason}")
 
 
 def _edge_subgraph(g: WeightedGraph, keep: Sequence[int]) -> WeightedGraph:
@@ -776,12 +852,7 @@ def path_edge_set(g: WeightedGraph, u: int, v: int) -> set[int]:
     to the path and the answer; empty when u and v sit in different
     components.
     """
-    if not _are_indices((u, v)):
-        raise GraphConstructionError(f"nodes must be integers, got ({u!r}, {v!r})")
-    if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
-        raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
-    if u == v:
-        raise GraphConstructionError("path_edge_set endpoints must differ")
+    (u, v), = _indices(((u, v),), "path_edge_set pair", g.node_count, pairs=True)
     members = g._block_tree.members
     return {k for b in _path_blocks(g, u, v) for k in members[b]}
 

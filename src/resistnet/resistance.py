@@ -15,14 +15,13 @@ exists.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import graph as gr
 from . import stability as st
-from .errors import DisconnectedGraphError, GraphConstructionError, SingularMatrixError
+from .errors import DisconnectedGraphError, SingularMatrixError
 
 __all__ = [
     "effective_resistance",
@@ -33,7 +32,7 @@ __all__ = [
 
 
 def node_pair_resistance_matrix(
-    g: gr.WeightedGraph, pairs: Sequence[tuple[int, int]]
+    g: gr.WeightedGraph, pairs: Iterable[tuple[int, int]]
 ) -> np.ndarray:
     """Gram matrix of effective resistances over arbitrary node pairs.
 
@@ -44,27 +43,34 @@ def node_pair_resistance_matrix(
     zeros than components, at the pencil cut tol * max |lambda_i| (default
     tol); on a tree those eigenvalues are R W R^T's, the weights.
     """
-    if not gr._are_indices(chain.from_iterable(pairs)):
-        raise GraphConstructionError(f"node pair entries must be integers, got {list(pairs)!r}")
-    count, labels = gr.connected_components(g)
+    ends = np.array(_connected_pairs(g, pairs, "pair"), dtype=int).reshape(-1, 2)
+    return _gram(g, ends[:, 0], ends[:, 1])
+
+
+def _connected_pairs(g: gr.WeightedGraph, pairs, label: str) -> tuple[tuple[int, int], ...]:
+    """The checked node pairs (``graph._indices``), each inside one component."""
+    pairs = gr._indices(pairs, label, g.node_count, pairs=True)
+    _, labels = gr.connected_components(g)
     for u, v in pairs:
-        if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
-            raise GraphConstructionError(f"node pair ({u}, {v}) out of range")
-        if u == v:
-            raise GraphConstructionError(f"node pair ({u}, {v}): endpoints must differ")
         if labels[u] != labels[v]:
             raise DisconnectedGraphError(
                 f"nodes {u} and {v} lie in different components: infinite resistance"
             )
+    return pairs
+
+
+def _gram(g: gr.WeightedGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Resistance Gram over the node pairs (a_i, b_i), each inside one
+    component, unless the verdict finds the pencil singular."""
     sig = st.classify_stability(g).signature
+    count, _ = gr.connected_components(g)
     if sig.n_zero > count:
         raise SingularMatrixError(
             "grounded Laplacian (congruent to R W R^T) is numerically singular "
             f"(signature {sig.as_tuple()} on {count} component(s)); "
             "the network sits on a degeneracy of its weights"
         )
-    ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    return _pair_gram(g.grounded_inverse, ends[:, 0], ends[:, 1])
+    return _pair_gram(g.grounded_inverse, a, b)
 
 
 def _pair_gram(G: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,46 +105,29 @@ def effective_resistance(g: gr.WeightedGraph, u: int, v: int, method: str = "edg
     u and v are in different components and SingularMatrixError when the
     kernel, equivalently R W R^T, is numerically singular.
     """
-    if not gr._are_indices((u, v)):
-        raise GraphConstructionError(f"nodes must be integers, got ({u!r}, {v!r})")
-    if not (0 <= u < g.node_count) or not (0 <= v < g.node_count):
-        raise GraphConstructionError(f"nodes ({u}, {v}) out of range for {g.node_count} nodes")
-    if u == v:
-        raise GraphConstructionError("effective_resistance endpoints must differ")
+    (u, v), = _connected_pairs(g, ((u, v),), "effective_resistance pair")
     if method == "edge_form":
-        return float(node_pair_resistance_matrix(g, [(u, v)])[0, 0])
+        return float(_gram(g, [u], [v])[0, 0])
     if method == "pseudoinverse":
-        _, labels = gr.connected_components(g)
-        if labels[u] != labels[v]:
-            raise DisconnectedGraphError(
-                f"nodes {u} and {v} lie in different components: infinite resistance"
-            )
         d = np.zeros(g.node_count)
         d[u], d[v] = 1.0, -1.0
         return float(d @ _laplacian_pinv(g) @ d)
     raise ValueError(f"unknown method {method!r}; expected 'edge_form' or 'pseudoinverse'")
 
 
-def resistance_matrix(g: gr.WeightedGraph, edge_subset: Sequence[int]) -> np.ndarray:
+def resistance_matrix(g: gr.WeightedGraph, edge_subset: Iterable[int]) -> np.ndarray:
     """Resistance Gram matrix over a subset of edges (ascending index order).
 
     Row/column j corresponds to the j-th smallest index in ``edge_subset``;
     diagonal entries are the edges' effective resistances.  Requires a
     connected graph.
     """
-    if not gr._are_indices(edge_subset):
-        raise GraphConstructionError(f"edge indices must be integers, got {list(edge_subset)!r}")
-    count, _ = gr.connected_components(g)
-    if count != 1:
+    subset = sorted(set(gr._indices(edge_subset, "edge indices", g.edge_count)))
+    if gr.connected_components(g)[0] != 1:
         raise DisconnectedGraphError("resistance_matrix requires a connected graph")
-    subset = sorted(set(int(k) for k in edge_subset))
-    for k in subset:
-        if not (0 <= k < g.edge_count):
-            raise GraphConstructionError(f"edge index {k} out of range for {g.edge_count} edges")
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in subset]
-    return node_pair_resistance_matrix(g, pairs)
+    return _gram(g, g.tails[subset], g.heads[subset])
 
 
-def total_effective_resistance(g: gr.WeightedGraph, edge_subset: Sequence[int]) -> float:
+def total_effective_resistance(g: gr.WeightedGraph, edge_subset: Iterable[int]) -> float:
     """Sum of effective resistances across the subset's edges (matrix trace)."""
     return float(np.trace(resistance_matrix(g, edge_subset)))

@@ -39,7 +39,7 @@ from . import graph as gr
 from . import resistance as rs
 from . import spectral as sp
 from . import stability as st
-from .errors import GraphConstructionError, NominalInstabilityError, NotApplicableError
+from .errors import GraphConstructionError, InputError, NominalInstabilityError, NotApplicableError
 
 __all__ = [
     "UncertaintySpec",
@@ -69,13 +69,9 @@ class UncertaintySpec:
     uncertain_edges: tuple[int, ...]
 
     def __post_init__(self):
-        if not gr._are_indices(self.uncertain_edges):
-            raise GraphConstructionError(f"UncertaintySpec edges must be integers, got {self.uncertain_edges!r}")
-        edges = tuple(sorted(map(int, self.uncertain_edges)))
+        edges = gr._indices(self.uncertain_edges, "UncertaintySpec edges", distinct=True)
         if not edges:
             raise GraphConstructionError("UncertaintySpec needs at least one uncertain edge")
-        if len(set(edges)) != len(edges):
-            raise GraphConstructionError("UncertaintySpec edges must be distinct")
         object.__setattr__(self, "uncertain_edges", edges)
 
 
@@ -171,16 +167,10 @@ class SectorCheckResult:
     proof_form_disagrees: bool
 
 
-def _validate_edges(g: gr.WeightedGraph, spec: UncertaintySpec) -> None:
-    """The spec's edges are ascending, so only its ends can be out of range;
+def _validate_edges(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> None:
+    """Require a connected, nominally stable network, then the spec's edges
+    in range.  They are ascending, so only its ends can be out of range;
     the error names the first edge that is."""
-    edges, m = spec.uncertain_edges, g.edge_count
-    if edges[0] < 0 or edges[-1] >= m:
-        k = edges[0] if edges[0] < 0 else next(k for k in edges if k >= m)
-        raise GraphConstructionError(f"uncertain edge index {k} out of range for {m} edges")
-
-
-def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
     count, _ = gr.connected_components(g)
     verdict = st.classify_stability(g, tol)
     if count != 1 or verdict.classification != st.STABLE:
@@ -189,6 +179,10 @@ def _require_nominal_stability(g: gr.WeightedGraph, tol: float) -> None:
             f"got {count} component(s), classification '{verdict.classification}', "
             f"signature {verdict.signature.as_tuple()}"
         )
+    edges, m = spec.uncertain_edges, g.edge_count
+    if edges[0] < 0 or edges[-1] >= m:
+        k = edges[0] if edges[0] < 0 else next(k for k in edges if k >= m)
+        raise GraphConstructionError(f"uncertain edge index {k} out of range for {m} edges")
 
 
 def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
@@ -202,7 +196,8 @@ def _gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.n
     and otherwise that of the (n-1)-square K^T L_delta,g K with K K^T = G_g.
     Only the all-edge set reads the pencil's eigenvalues, before G, which
     drops the pencil when it is built; sets of at most n - 1 edges read G
-    through ``_inverse_at``, which may solve for their endpoints alone.
+    through ``WeightedGraph._inverse_at``, which may solve for their
+    endpoints alone.
     """
     key = ("gains", spec.uncertain_edges, tol)
     gains = g._memo.get(key)
@@ -219,15 +214,14 @@ def _edge_index(g: gr.WeightedGraph, spec: UncertaintySpec) -> slice | np.ndarra
 
 
 def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tuple[np.ndarray, float]:
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec)
+    _validate_edges(g, spec, tol)
     k = _edge_index(g, spec)
     t, h = g.tails[k], g.heads[k]
     every = t.size == g.edge_count
     few = not every and t.size < g.node_count  # at most n - c edges (connected: c = 1)
     if every:
         lam_min = float(g.grounded_eigvals[0])  # before G, which drops the pencil
-    G, a, b = _inverse_at(g, t, h) if few else (g.grounded_inverse, t, h)
+    G, a, b = g._inverse_at(t, h) if few else (g.grounded_inverse, t, h)
     r = G[a, a] - G[a, b] - G[b, a] + G[b, b]
     r.flags.writeable = False
     if every:
@@ -241,38 +235,6 @@ def _compute_gains(g: gr.WeightedGraph, spec: UncertaintySpec, tol: float) -> tu
     return r, float(np.linalg.eigvalsh(K.T @ L_delta @ K)[-1])
 
 
-def _inverse_at(g: gr.WeightedGraph, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G's rows and columns at the edges' endpoints, with the endpoints'
-    indices into them, for a connected graph.
-
-    G itself when it is on the graph.  Otherwise the graph's first request
-    whose endpoints U are fewer than n - 1 solves the pencil for those
-    columns alone, G_UU = S_U^T A^{-1} S_U with S_U = C^{-1}[:, U] (zero for
-    the grounded node 0), on the route G takes: Z^T Z with Z = K^{-1} S_U
-    by a triangular solve where A = K K^T has a Cholesky factor
-    (``spectral._cholesky``), else by an LU solve.  So both agree to
-    rounding even across weak links, and no triangular inverse is formed.
-    The next such request builds G, so a loop over every edge pays one
-    extra solve.
-    """
-    if "grounded_inverse" not in g.__dict__ and ("columns",) not in g._memo:
-        nodes = np.array(sorted({*t.tolist(), *h.tolist()}))
-        if nodes.size < g.node_count - 1:
-            g._memo[("columns",)] = True
-            Cinv, A, _ = g._pencil
-            S = np.zeros((len(Cinv), nodes.size))
-            kept = nodes > 0
-            S[:, kept] = Cinv[:, nodes[kept] - 1]
-            K = sp._cholesky(A)
-            if K is None:
-                G_UU = S.T @ np.linalg.solve(A, S)
-            else:
-                Z = sp._tri_solve(K, S)
-                G_UU = Z.T @ Z
-            return G_UU, np.searchsorted(nodes, t), np.searchsorted(nodes, h)
-    return g.grounded_inverse, t, h
-
-
 def m11_at_zero(
     g: gr.WeightedGraph, spec: UncertaintySpec, tol: float = sp.DEFAULT_TOL
 ) -> np.ndarray:
@@ -282,8 +244,7 @@ def m11_at_zero(
     symmetric and positive semidefinite for nominally stable networks.
     Read from entries of the graph's grounded inverse.
     """
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec)
+    _validate_edges(g, spec, tol)
     k = list(spec.uncertain_edges)
     return rs._pair_gram(g.grounded_inverse, g.tails[k], g.heads[k])
 
@@ -300,10 +261,11 @@ def m11_frequency_response(
     zero, so the rank-one term changes nothing on them and keeps omega = 0
     (the resistance Gram ``m11_at_zero``) solvable: one n x n solve.  Its
     eigenvalue c = tr(L)/n sits at L's scale, so any weight scale solves
-    as accurately.
+    as accurately.  Raises InputError unless ``omega`` is finite.
     """
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec)
+    if not math.isfinite(omega):
+        raise InputError(f"omega must be finite, got {omega!r}")
+    _validate_edges(g, spec, tol)
     n, k = g.node_count, list(spec.uncertain_edges)
     cols = np.arange(len(k))
     E = np.zeros((n, len(k)))
@@ -397,7 +359,7 @@ def worst_single_edge(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> Margi
     """
     if not g.edge_count:
         raise NotApplicableError("the graph has no edges, so there is no single-edge margin")
-    return _report(g, UncertaintySpec(tuple(range(g.edge_count))), tol, "exact_single_edge", False)
+    return _report(g, UncertaintySpec(range(g.edge_count)), tol, "exact_single_edge", False)
 
 
 def disjoint_paths_margin(
@@ -413,8 +375,7 @@ def disjoint_paths_margin(
     to ``small_gain_margin``).  A singleton set reduces to the single-edge
     margin.
     """
-    _require_nominal_stability(g, tol)
-    _validate_edges(g, spec)
+    _validate_edges(g, spec, tol)
     block, _, _ = g._blocks
     keys = spec.uncertain_edges
     pair = gr._first_overlap([block[k]] for k in keys)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,9 +93,9 @@ class SimulationConfig:
     RK4 step, t, t + dt/2 and t + dt (3 calls per step, not 4), and a
     sample that is not a length-n vector raises InputError.
     ``output_edges`` lists (u, v) node pairs measured as z = x_u - x_v
-    (defaults to the graph's own edges).  ``store_every`` thins the stored
-    trajectory (divergence is still checked every step, and the final step
-    is always stored).
+    (defaults to the graph's own edges), stored as a tuple of int pairs.
+    ``store_every`` thins the stored trajectory (divergence is still
+    checked every step, and the final step is always stored).
     """
 
     duration: float
@@ -111,8 +111,11 @@ class SimulationConfig:
             raise InputError(f"duration must be positive, got {self.duration!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise InputError(f"dt must be positive, got {self.dt!r}")
-        if not (gr._are_indices((self.store_every,)) and self.store_every >= 1):
+        if not (gr._is_index(self.store_every) and self.store_every >= 1):
             raise InputError(f"store_every must be a positive integer, got {self.store_every!r}")
+        if self.output_edges is not None:
+            pairs = gr._indices(self.output_edges, "output pair", error=InputError, pairs=True)
+            object.__setattr__(self, "output_edges", pairs)
 
 
 @dataclass(frozen=True)
@@ -172,18 +175,13 @@ class NonlinearCoupling:
 
 
 def burst_input(
-    n: int, nodes: Sequence[int], amplitude: float, t_start: float, t_end: float
+    n: int, nodes: Iterable[int], amplitude: float, t_start: float, t_end: float
 ) -> Callable[[float], np.ndarray]:
     """Impulse-like input: ``amplitude`` on ``nodes`` for t in [t_start, t_end)."""
     if not all(map(math.isfinite, (amplitude, t_start, t_end))):
         raise InputError("burst amplitude and window ends must be finite")
-    if not gr._are_indices(nodes):
-        raise InputError(f"burst nodes must be integers, got {list(nodes)!r}")
     v = np.zeros(n)
-    for node in nodes:
-        if not (0 <= node < n):
-            raise InputError(f"burst node {node} out of range for {n} nodes")
-        v[node] = amplitude
+    v[list(gr._indices(nodes, "burst nodes", n, InputError))] = amplitude
     zero = np.zeros(n)
 
     def signal(t: float) -> np.ndarray:
@@ -227,12 +225,9 @@ def _resolve_initial_state(g: gr.WeightedGraph, config: SimulationConfig) -> np.
 
 def _output_pairs(g: gr.WeightedGraph, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Node indices (u, v) of the output pairs z = x_u - x_v."""
-    pairs = config.output_edges
-    if pairs is None:
+    if config.output_edges is None:
         return g.tails, g.heads
-    for u, v in pairs:
-        if not gr._are_indices((u, v)) or not (0 <= u < g.node_count) or not (0 <= v < g.node_count) or u == v:
-            raise InputError(f"output pair ({u}, {v}) is not a valid node pair")
+    pairs = gr._indices(config.output_edges, "output pair", g.node_count, InputError, pairs=True)
     return np.array([u for u, _ in pairs], dtype=int), np.array([v for _, v in pairs], dtype=int)
 
 
@@ -248,15 +243,9 @@ def _perturbed_weights(g: gr.WeightedGraph, delta) -> np.ndarray:
     """Weights w + delta, delta a dict {edge index: change} or a length-m
     vector; refused when one is not finite or a node's degree overflows."""
     if isinstance(delta, dict):
-        if not gr._are_indices(delta):
-            raise GraphConstructionError(f"perturbed edge indices must be integers, got {list(delta)!r}")
         d = np.zeros(g.edge_count)
-        for k, change in delta.items():
-            if not (0 <= k < g.edge_count):
-                raise GraphConstructionError(
-                    f"perturbed edge index {k} out of range for {g.edge_count} edges"
-                )
-            d[k] += float(change)
+        for k, change in zip(gr._indices(delta, "perturbed edge indices", g.edge_count), delta.values()):
+            d[k] = float(change)
     else:
         d = np.asarray(delta, dtype=float)
         if d.shape != (g.edge_count,):
@@ -530,7 +519,7 @@ def simulate_linear(g: gr.WeightedGraph, delta, config: SimulationConfig) -> Tra
 
 def simulate_nonlinear(
     g: gr.WeightedGraph,
-    uncertain_edges: Sequence[int],
+    uncertain_edges: Iterable[int],
     coupling: NonlinearCoupling,
     config: SimulationConfig,
 ) -> Trajectory:
@@ -547,16 +536,7 @@ def simulate_nonlinear(
     value tried.  It agrees with the node-space RK4 loop to rounding, not
     bit for bit.
     """
-    if not gr._are_indices(uncertain_edges):
-        raise GraphConstructionError(f"uncertain edge indices must be integers, got {list(uncertain_edges)!r}")
-    edges = sorted(set(int(k) for k in uncertain_edges))
-    if len(edges) != len(uncertain_edges):
-        raise GraphConstructionError("uncertain_edges must be distinct")
-    for k in edges:
-        if not (0 <= k < g.edge_count):
-            raise GraphConstructionError(
-                f"uncertain edge index {k} out of range for {g.edge_count} edges"
-            )
+    edges = list(gr._indices(uncertain_edges, "uncertain edge indices", g.edge_count, distinct=True))
     if len(coupling.params) != len(edges):
         raise GraphConstructionError(
             f"need one coupling per uncertain edge: got {len(coupling.params)} "
@@ -598,8 +578,6 @@ def generate_rgg(n: int, radius: float, seed: int, max_retries: int = 100) -> gr
     and retries with fresh draws from the same stream until the graph is
     connected.  Raises GenerationError after ``max_retries`` attempts.
     """
-    if n < 1:
-        raise GraphConstructionError(f"node count must be positive, got {n}")
     if not (math.isfinite(radius) and radius > 0):
         raise GraphConstructionError(f"radius must be positive, got {radius!r}")
     rng = SplitMix64(seed)

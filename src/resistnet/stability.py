@@ -109,9 +109,10 @@ def lmi_psd_check(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> bool:
     the Schur complement |W_-|^{-1} - R_- >= 0, R_- the thresholds'
     resistance Gram; its inertia is read from the d x d I - D R_- D,
     D = |W_-|^{1/2} (d = 1: |w| <= 1/R_uv).  True without negative edges,
-    by structure.  Agrees with ``classify_stability``'s n_minus == 0.
-    Raises SingularMatrixError when ``node_pair_resistance_matrix`` does on
-    the positive subgraph, as ``total_resistance_necessary_check`` does.
+    by structure, and False on a negative cut edge, even one whose weight
+    ``classify_stability`` counts as a zero below tol * max |lambda|, so the
+    two can disagree (ROADMAP item 4).  Raises SingularMatrixError when
+    ``node_pair_resistance_matrix`` does on the positive subgraph.
     """
     neg = list(gr.signed_partition(g).negative_edges)
     if not neg:
@@ -152,8 +153,7 @@ def single_negative_edge_threshold(g_plus: gr.WeightedGraph, e: tuple[int, int])
             "single_negative_edge_threshold requires a connected base graph "
             "(a disconnecting negative edge is indefinite at any magnitude)"
         )
-    u, v = e
-    return 1.0 / rs.effective_resistance(g_plus, u, v)
+    return 1.0 / float(rs.node_pair_resistance_matrix(g_plus, (e,))[0, 0])
 
 
 @dataclass(frozen=True)

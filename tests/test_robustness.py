@@ -6,6 +6,7 @@ import pytest
 from conftest import random_connected_positive
 from resistnet import (
     GraphConstructionError,
+    InputError,
     NominalInstabilityError,
     NotApplicableError,
     SectorSpec,
@@ -364,3 +365,10 @@ def test_sector_check_requires_nominal_stability():
     unstable = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, -0.6)])
     with pytest.raises(NominalInstabilityError):
         sector_stability_check(unstable, UncertaintySpec((0,)), SectorSpec(((-0.1, 0.1),)))
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_frequency_response_refuses_a_non_finite_omega(omega):
+    # nan gave [[nan+nanj]], and inf the same after a RuntimeWarning
+    with pytest.raises(InputError, match=rf"omega must be finite, got {omega!r}"):
+        m11_frequency_response(TRIANGLE, UncertaintySpec((0,)), omega)
