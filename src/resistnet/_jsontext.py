@@ -4,13 +4,33 @@ The layout is ``json.dumps(..., indent=2, sort_keys=True)``'s, with each
 float rounded as ``repr(float(format(v, ".12g")))``, written without the json
 module's pure-Python encoder or a rounded copy of the document.  Every
 rule of that layout lives here; ``cli`` only hands documents in.
+
+Per-edge rows (margins, thresholds) are handed in as a ``Table``: one list
+per key instead of one dict per row.  Its text is the list of row dicts',
+written column by column: each column is formatted once and the columns
+are put together with the text between fields in one ``str.join``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from json.encoder import encode_basestring_ascii as _quote
+
+
+class Table:
+    """Report rows held as columns: row i is ``{key: columns[key][i]}``.
+
+    ``_json_text`` writes it as that list of row dicts; every column has
+    one length, and a table with no keys has no rows.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _float_text(x: float) -> str:
@@ -42,30 +62,32 @@ def _column_texts(values: list) -> list[str] | None:
     return list(map(_float_text, values))
 
 
-def _row_texts(rows: list, indent: str) -> str | None:
-    """Items of a list of flat dicts that share one set of string keys, each
-    key's values all ints or all floats, joined as the recursive walk joins
-    them: one row template per list, filled by one ``%`` call.  None for any
-    other list, which the recursive walk writes instead."""
-    first = rows[0] if rows else None
-    if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
-        return None
-    names = sorted(first)
-    if set(map(type, names)) != {str} or set(map(len, rows)) != {len(names)}:
-        return None
-    try:
-        columns = [_column_texts(list(map(operator.itemgetter(k), rows))) for k in names]
-    except KeyError:  # a row with another key set of the same size
-        return None
-    if None in columns:
-        return None
+def _table_text(table: Table, indent: str) -> str:
+    """JSON text of a table's row dicts, the list at ``indent``.
+
+    Each column's texts come from ``_column_texts``, or value by value for
+    a column of other values, and go into one list between the fixed text
+    that leads each field (``,\n  "key": ``, or a new row's opening before
+    the first key).
+    """
+    rows = len(table)
+    if not rows:
+        return "[]"
     inner = indent + "  "
-    fields = ",\n".join(f"{inner}{_quote(k).replace('%', '%%')}: %s" for k in names)
-    sep = f",\n{indent}"
-    values = [None] * (len(names) * len(rows))
-    for j, column in enumerate(columns):
-        values[j::len(names)] = column
-    return ((f"{{\n{fields}\n{indent}}}" + sep) * len(rows))[:-len(sep)] % tuple(values)
+    field = inner + "  "
+    names = sorted(table.columns)
+    leads = [f"\n{inner}}},\n{inner}{{\n{field}{_quote(names[0])}: "]
+    leads += [f",\n{field}{_quote(k)}: " for k in names[1:]]
+    width = 2 * len(names)
+    parts = [None] * (width * rows)
+    for j, (k, lead) in enumerate(zip(names, leads)):
+        column = table.columns[k]
+        texts = _column_texts(column)
+        parts[2 * j::width] = [lead] * rows
+        parts[2 * j + 1::width] = [_json_text(v, field) for v in column] if texts is None else texts
+    parts[0] = f"[\n{inner}{{\n{field}{_quote(names[0])}: "
+    parts.append(f"\n{inner}}}\n{indent}]")
+    return "".join(parts)
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -75,8 +97,7 @@ def _json_text(obj, indent: str = "") -> str:
     sorted, non-ASCII escaped, NaN and infinities as ``NaN``/``Infinity``),
     without its pure-Python encoder or a rounded copy of the document.
     Keys must be strings; any value JSON has no form for raises TypeError.
-    A list of rows (per-edge margins, thresholds) is written with one
-    template per list (``_row_texts``).
+    A ``Table`` is written as its list of row dicts (``_table_text``).
     """
     if isinstance(obj, float):
         return _float_text(obj)
@@ -95,11 +116,10 @@ def _json_text(obj, indent: str = "") -> str:
         items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
         opening, closing = "{", "}"
     elif isinstance(obj, (list, tuple)):
-        rows = _row_texts(obj, inner)
-        if rows is not None:
-            return f"[\n{inner}{rows}\n{indent}]"
         items = [_json_text(v, inner) for v in obj]
         opening, closing = "[", "]"
+    elif isinstance(obj, Table):
+        return _table_text(obj, indent)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:

@@ -4,8 +4,8 @@ Exit codes: 0 on success (including stable analytic verdicts), 2 for
 analytic negative outcomes (unstable network, uncertified sector, diverged
 simulation, unmet reproduction expectations), 1 for usage and input errors.
 Reports print floats at 12 significant digits (``_jsontext`` writes the
-JSON ones); trajectory files carry 17.  All output is deterministic for
-fixed inputs.
+JSON ones) and carry their per-edge rows as column tables; trajectory
+files carry 17.  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import robustness as rb
 from . import simulation as sim
 from . import spectral as sp
 from . import stability as st
-from ._jsontext import _json_text
+from ._jsontext import Table, _json_text
 from .errors import (
     DisconnectedGraphError,
     GenerationError,
@@ -142,6 +142,12 @@ def _signature_doc(sig: sp.Signature) -> dict:
     return {"n_plus": sig.n_plus, "n_minus": sig.n_minus, "n_zero": sig.n_zero}
 
 
+def _edge_table(values: dict[int, float], name: str) -> Table:
+    """Rows ``{"edge": k, name: values[k]}`` of a per-edge dict, whose keys
+    ascend (``MarginReport.per_edge``, ``MultiEdgeThresholds.thresholds``)."""
+    return Table({"edge": list(values), name: list(values.values())})
+
+
 def _margin_doc(report: rb.MarginReport, g: gr.WeightedGraph) -> dict:
     b = report.binding_edge
     return {
@@ -150,7 +156,7 @@ def _margin_doc(report: rb.MarginReport, g: gr.WeightedGraph) -> dict:
         "binding_edge": None if b is None else {
             "index": b, "u": g.edges[b][0], "v": g.edges[b][1], "weight": g.edges[b][2],
         },
-        "per_edge": [{"edge": k, "margin": v} for k, v in sorted(report.per_edge.items())],
+        "per_edge": _edge_table(report.per_edge, "margin"),
         "bounds": {
             "inv_max_weight": report.bounds.inv_max_weight,
             "max_edge_resistance": report.bounds.max_edge_resistance,
@@ -197,10 +203,7 @@ def _analysis_document(g: gr.WeightedGraph, tol: float) -> dict:
         if thresholds.applicable:
             diag["thresholds"] = {
                 "applicable": True,
-                "per_edge": [
-                    {"edge": k, "threshold": v}
-                    for k, v in sorted(thresholds.thresholds.items())
-                ],
+                "per_edge": _edge_table(thresholds.thresholds, "threshold"),
             }
         else:
             diag["thresholds"] = {
@@ -248,8 +251,9 @@ def _print_analysis_text(doc: dict) -> None:
               f"(path supports of edges {thresholds['overlapping_edges']} overlap)")
     elif thresholds["per_edge"]:
         print("negative-edge thresholds (|w| must stay below):")
-        for item in thresholds["per_edge"]:
-            print(f"  edge {item['edge']}: {_fmt(item['threshold'])}")
+        columns = thresholds["per_edge"].columns
+        for k, v in zip(columns["edge"], columns["threshold"]):
+            print(f"  edge {k}: {_fmt(v)}")
     margin = doc.get("margin")
     if margin is None:
         print(f"margin: unavailable ({doc.get('margin_note', 'n/a')})")
@@ -272,8 +276,9 @@ def _print_margin_text(margin: dict, sector: dict | None = None) -> None:
     per_edge = margin["per_edge"]
     if len(per_edge) > 1:
         print("per-edge margins:")
-        for item in per_edge:
-            print(f"  edge {item['edge']}: {_fmt(item['margin'])}")
+        columns = per_edge.columns
+        for k, v in zip(columns["edge"], columns["margin"]):
+            print(f"  edge {k}: {_fmt(v)}")
     print(f"note: {margin['note']}")
     if sector is not None:
         print(f"sector verdict: {'stable' if sector['stable'] else 'not certified'} "
@@ -299,7 +304,7 @@ def cmd_analyze(args) -> int:
 
 def _parse_edge_selection(text: str, g: gr.WeightedGraph):
     if text == "all":
-        return tuple(range(g.edge_count))
+        return range(g.edge_count)
     if text.startswith("single:"):
         return (int(text[len("single:"):]),)
     if text.startswith("set:"):

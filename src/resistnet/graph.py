@@ -190,10 +190,18 @@ class WeightedGraph:
         return {}
 
     @_cached_property
+    def _weight_range(self) -> tuple[float, float]:
+        """``(w_min, w_max)``, ``(inf, -inf)`` without edges: the one reduction
+        of the weights that the verdict's shortcut and the uniform-weight
+        test share (max |w| is max(w_max, -w_min))."""
+        w = self.weights
+        return (float(w.min()), float(w.max())) if w.size else (math.inf, -math.inf)
+
+    @_cached_property
     def _signs(self) -> SignedPartition:
-        pos = tuple(k for k, (_, _, w) in enumerate(self.edges) if w > 0)
-        neg = tuple(k for k, (_, _, w) in enumerate(self.edges) if w < 0)
-        return SignedPartition(pos, neg)
+        w = self.weights
+        positive, negative = np.flatnonzero(w > 0).tolist(), np.flatnonzero(w < 0).tolist()
+        return SignedPartition(tuple(positive), tuple(negative))
 
     @_cached_property
     def _positive(self) -> WeightedGraph:
@@ -206,11 +214,13 @@ class WeightedGraph:
         """d x d resistance Gram R_- of the negative edges' endpoints in the
         positive subgraph, read once for the block test, the thresholds and
         the total-resistance check, each of which first makes sure that no
-        negative edge joins two of its components."""
-        from .resistance import node_pair_resistance_matrix  # resistance builds on this module
+        negative edge joins two of its components.  Its endpoints were
+        checked when the graph was built, so they go straight to the Gram,
+        which still refuses a singular pencil."""
+        from .resistance import _gram  # resistance builds on this module
 
-        pairs = [self.edges[k][:2] for k in self._signs.negative_edges]
-        return node_pair_resistance_matrix(self._positive, pairs)
+        neg = list(self._signs.negative_edges)
+        return _gram(self._positive, self.tails[neg], self.heads[neg])
 
     @_cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -637,7 +647,13 @@ def _indices(values: Iterable, label: str, bound: int | None = None,
     ``bound`` it lies in ``[0, bound)``, and a pair joins two different
     nodes.  ``distinct`` indices are returned sorted, each once.  Otherwise
     raises ``error``, led by ``label``, naming the first bad value (or pair).
+    A step-1 ``range`` is distinct and ascending, so it is read by its ends.
     """
+    if type(values) is range and values.step == 1 and not pairs:
+        if bound is not None and values and (values.start < 0 or values.stop > bound):
+            bad = values.start if not 0 <= values.start < bound else bound
+            raise error(f"{label} must lie in [0, {bound}), got {bad}")
+        return tuple(values)
     items = tuple(values)
     if pairs:
         return tuple(_index_pair(item, label, bound, error) for item in items)

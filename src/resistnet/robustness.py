@@ -134,8 +134,9 @@ class MarginReport:
     every |delta_e| strictly below it preserve stability (the margin itself
     is the marginal boundary in the exact methods).  ``method`` is one of
     ``exact_single_edge``, ``small_gain``, ``uniform_weight``, or
-    ``disjoint_paths``; ``per_edge`` maps each analyzed edge to its
-    individual margin, ``binding_edge`` attains the global margin.
+    ``disjoint_paths``; ``per_edge`` maps each analyzed edge, in ascending
+    order, to its individual margin, ``binding_edge`` attains the global
+    margin.
     """
 
     global_margin: float
@@ -331,8 +332,8 @@ def small_gain_margin(
     if len(spec.uncertain_edges) == 1:
         method = "exact_single_edge"
     elif len(spec.uncertain_edges) == g.edge_count:
-        w = g.weights
-        if np.all(w > 0) and float(np.max(w) - np.min(w)) <= 1e-12 * float(np.max(np.abs(w))):
+        w_min, w_max = g._weight_range  # max |w| is w_max when every weight is positive
+        if w_min > 0 and w_max - w_min <= 1e-12 * w_max:
             method = "uniform_weight"
     return _report(g, spec, tol, method, small_gain=True)
 

@@ -38,14 +38,18 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _zero_cut(eigvals: np.ndarray, tol: float, floor: float = 1.0) -> float:
+def _zero_cut(eigvals: np.ndarray | None, tol: float, floor: float = 1.0,
+              scale: float | None = None) -> float:
     """The zero threshold tol * max(floor, max |eigvals|); graph pencils pass
-    floor 0.  Every public ``tol`` is checked here."""
+    floor 0, and a caller that knows max |eigvals| passes it as ``scale``
+    instead of the values.  Every public ``tol`` is checked here."""
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be a finite non-negative number, got {tol!r}")
-    if eigvals.size == 0:
-        return tol
-    return tol * max(floor, float(np.max(np.abs(eigvals))))
+    if scale is None:
+        if eigvals.size == 0:
+            return tol
+        scale = float(np.max(np.abs(eigvals)))
+    return tol * max(floor, scale)
 
 
 @dataclass(frozen=True)

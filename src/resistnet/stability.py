@@ -16,7 +16,6 @@ one resistance Gram R_- from the positive subgraph's cached grounded inverse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +84,9 @@ def _classify(g: gr.WeightedGraph, tol: float) -> StabilityVerdict:
     when w_min clears the zero cut tol * w_max the verdict is
     ``stable_agreement`` (n - c, 0, c) without an eigensolve; every other
     graph counts the eigenvalues."""
-    w = g.weights
-    w_min = w.min() if w.size else math.inf
-    if w_min > 0 and w_min > sp._zero_cut(w, tol, 0.0):  # the dense path checks tol otherwise
+    w_min, w_max = g._weight_range
+    # max |w| is w_max on a positive graph; the dense path checks tol otherwise
+    if w_min > 0 and w_min > sp._zero_cut(None, tol, 0.0, scale=w_max):
         count = g._bfs[0]
         return StabilityVerdict(STABLE, sp.Signature(g.node_count - count, 0, count))
     lam = g.grounded_eigvals
@@ -112,7 +111,7 @@ def lmi_psd_check(g: gr.WeightedGraph, tol: float = sp.DEFAULT_TOL) -> bool:
     by structure, and False on a negative cut edge, even one whose weight
     ``classify_stability`` counts as a zero below tol * max |lambda|, so the
     two can disagree (ROADMAP item 4).  Raises SingularMatrixError when
-    ``node_pair_resistance_matrix`` does on the positive subgraph.
+    the positive subgraph's pencil is singular, as the resistance Gram does.
     """
     neg = list(gr.signed_partition(g).negative_edges)
     if not neg:
@@ -163,8 +162,8 @@ class MultiEdgeThresholds:
     ``applicable`` is False when two negative edges' path edge sets (simple
     paths in the positive subgraph between their endpoints) overlap; then
     ``thresholds`` is None and ``overlap`` names an offending pair of edge
-    indices.  When applicable, ``thresholds`` maps each negative edge index
-    to 1/R over its endpoints in the positive subgraph, and the network is
+    indices.  When applicable, ``thresholds`` maps each negative edge index,
+    in ascending order, to 1/R over its endpoints in the positive subgraph, and the network is
     positive semidefinite iff every magnitude is at most its threshold.
     """
 

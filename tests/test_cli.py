@@ -19,9 +19,13 @@ from resistnet.cli import main
 
 
 def _jround(obj):
-    """Round floats to 12 significant digits (the encoder's former first pass)."""
+    """Round floats to 12 significant digits (the encoder's former first pass)
+    and expand each column table into its list of row dicts."""
     if isinstance(obj, float):
         return float(format(obj, ".12g"))
+    if isinstance(obj, _jsontext.Table):
+        keys = list(obj.columns)
+        return [_jround(dict(zip(keys, row))) for row in zip(*obj.columns.values())]
     if isinstance(obj, dict):
         return {k: _jround(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -227,11 +231,11 @@ def test_analyze_reads_negative_edge_resistances_once(capsys, tmp_path, monkeypa
     # the thresholds and the total-resistance check share one R_- read
     calls = []
 
-    def counting(g, pairs, read=rs.node_pair_resistance_matrix):
-        calls.append([tuple(p) for p in pairs])
-        return read(g, pairs)
+    def counting(g, a, b, read=rs._gram):
+        calls.append(list(zip(a.tolist(), b.tolist())))
+        return read(g, a, b)
 
-    monkeypatch.setattr(rs, "node_pair_resistance_matrix", counting)
+    monkeypatch.setattr(rs, "_gram", counting)
     path = triangle_chain_file(tmp_path, negative=(0, 23))
     code, out, _ = run(capsys, "analyze", path, "--json")
     assert code == 0
@@ -596,9 +600,20 @@ ROUNDING_FLOATS = [
     1.7976931348623157e308, 5e-324, 2.5e-320, -0.0, 0.0,
 ]
 
-# lists of row dicts: one template per list when every row has the same keys
-# and each key's values are all ints or all floats, the recursive walk otherwise
-ROW_LISTS = [
+
+def as_table(rows):
+    """The rows as a column table when they share one non-empty key set;
+    otherwise the rows themselves, which the recursive walk writes."""
+    keys = rows[0].keys() if rows and type(rows[0]) is dict else {}
+    if not keys or any(type(row) is not dict or row.keys() != keys for row in rows):
+        return rows
+    return _jsontext.Table({k: [row[k] for row in rows] for k in keys})
+
+
+# per-edge rows: a column table wherever the rows share one key set (each
+# column formatted at once, or value by value when it is not all ints or
+# all floats), a list of row dicts otherwise
+ROW_LISTS = [as_table(rows) for rows in [
     [{"edge": 0, "margin": 0.5}, {"edge": 1, "margin": 1 / 3}, {"edge": 7, "margin": 2.0}],
     [{"edge": k, "margin": x} for k, x in enumerate(ROUNDING_FLOATS)],
     [{"edge": k, "margin": -x} for k, x in enumerate(ROUNDING_FLOATS)],
@@ -623,8 +638,35 @@ ROW_LISTS = [
     [{}, {}],
     [{"a": 1}, {}],
     ({"edge": 0, "margin": 0.5}, {"edge": 1, "margin": 0.25}),
-    [[{"a": 1.5}, {"a": 2.5}], {"rows": [{"b": 1}, {"b": 2}]}],
+]] + [
+    [_jsontext.Table({"a": [1.5, 2.5]}), {"rows": _jsontext.Table({"b": [1, 2], "a": [[], {"c": 0.5}]})}],
 ]
+
+# one column of a table, each checked alone and beside an edge column
+TABLE_COLUMNS = [
+    [0, 7, -3, 10 ** 30],
+    [0.5, 1 / 3, -2.75],
+    [True, False, True],
+    [math.nan, 1.5, math.inf, -math.inf],
+    [-0.0, 0.0, -0.0],
+    [1.5e12, 2.25e13, -3.125e14, 9.87654321e15, 0.5],
+    [1e12, 1e13, 1e14, 1e15],
+    [5e-324, 2.5e-320, 2.2250738585072014e-308, 0.25],
+    [1, 1.5, 2, -0.0],
+    [2.5],
+    [],
+]
+
+
+@pytest.mark.parametrize("column", TABLE_COLUMNS)
+def test_table_columns_match_json_module(column):
+    edges = list(range(len(column)))
+    for table in (_jsontext.Table({"x": column}), _jsontext.Table({"margin": column, "edge": edges})):
+        rows = reference_json(table)
+        assert len(json.loads(rows)) == len(column)
+        assert cli._json_text(table) == rows
+        assert cli._json_text({"per_edge": table, "n": 1}) == reference_json({"per_edge": table, "n": 1})
+    assert cli._json_text(_jsontext.Table({})) == "[]"
 
 
 @pytest.mark.parametrize("value", ENCODER_EDGE_CASES + ROW_LISTS)
@@ -651,9 +693,8 @@ def test_report_encoder_float_columns_match_per_value_rounding():
         [1.5e-300, 0.25],
     ]
     for column in columns:
-        rows = [{"x": x} for x in column]
-        assert _jsontext._row_texts(rows, "") is not None  # one template for the list
-        assert cli._json_text(rows) == reference_json(rows)
+        table = _jsontext.Table({"x": column})
+        assert cli._json_text(table) == reference_json(table) == cli._json_text([{"x": x} for x in column])
         want = [repr(float(format(x, ".12g"))) for x in column if math.isfinite(x)]
         assert [t for t, x in zip(_jsontext._column_texts(column), column) if math.isfinite(x)] == want
 
@@ -661,7 +702,7 @@ def test_report_encoder_float_columns_match_per_value_rounding():
 @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object(), b"bytes"])
 def test_report_encoder_rejects_what_the_json_module_rejects(value):
     for doc in (value, [1.5, value], {"key": {"inner": value}}, [{"a": 1, "b": value}, {"a": 2, "b": 0.5}],
-                [{"a": 1.5}, {"a": value}]):
+                [{"a": 1.5}, {"a": value}], _jsontext.Table({"a": [1, 2], "b": [value, 0.5]})):
         with pytest.raises(TypeError) as expected:
             reference_json(doc)
         with pytest.raises(TypeError) as got:

@@ -22,6 +22,7 @@ from resistnet import (
     small_gain_margin,
     total_effective_resistance,
 )
+from resistnet import graph as gr
 
 # a triangle with a pendant node: 4 nodes, 4 edges
 G = build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0), (2, 3, 1.5)])
@@ -123,3 +124,31 @@ def test_checked_indices_are_stored_as_ints():
     cfg = SimulationConfig(**CFG, output_edges=((np.int64(u), v) for u, v in [(0, 1), (3, 2)]))
     assert cfg.output_edges == ((0, 1), (3, 2))
     assert all(type(x) is int for pair in cfg.output_edges for x in pair)
+
+
+M = G.edge_count
+RANGES = [range(0), range(-1, 3), range(M, M + 3), range(0, M + 1), range(0, M), range(1, 3),
+          range(0, 6, 2), range(5, 0, -1)]
+
+
+@pytest.mark.parametrize("given", RANGES, ids=repr)
+def test_a_range_gives_the_list_answer(given):
+    # a step-1 range is read by its two ends: the same tuple, or the same
+    # error naming the same first bad index, as the equivalent list
+    def outcome(values, **kwargs):
+        try:
+            return gr._indices(values, "edge indices", **kwargs)
+        except GraphConstructionError as exc:
+            return str(exc)
+
+    for kwargs in ({}, {"bound": M}, {"bound": M, "distinct": True}):
+        assert outcome(given, **kwargs) == outcome(list(given), **kwargs)
+    for call in (UncertaintySpec, lambda ix: resistance_matrix(G, ix)):
+        try:
+            want = call(list(given))
+        except GraphConstructionError as exc:
+            with pytest.raises(GraphConstructionError) as caught:
+                call(given)
+            assert str(caught.value) == str(exc)
+        else:
+            assert same(call(given), want)

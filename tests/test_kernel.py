@@ -864,8 +864,8 @@ def test_margins_never_form_an_n_by_m_channel():
 
 def test_analyzed_graphs_are_freed_by_reference_counting():
     """No per-graph cache refers back to its graph, so its n x n arrays go with it."""
-    caches = {"tails", "heads", "weights", "_adj", "_bfs", "_blocks", "_block_tree", "_signs",
-              "_memo", "grounded_eigvals", "grounded_inverse"}
+    caches = {"tails", "heads", "weights", "_weight_range", "_adj", "_bfs", "_blocks", "_block_tree",
+              "_signs", "_memo", "grounded_eigvals", "grounded_inverse"}
     signed_caches = {"_positive", "_negative_resistances"}
 
     def analyze(g):

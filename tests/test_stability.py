@@ -147,6 +147,21 @@ def test_lmi_psd_check_raises_where_total_resistance_check_does():
     assert raised >= 5
 
 
+def test_negative_edge_certificates_skip_the_public_pair_check(monkeypatch):
+    # R_- comes from the endpoints that build_graph checked, not through
+    # node_pair_resistance_matrix's index and component checks
+    from resistnet import resistance as rs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("node_pair_resistance_matrix was called")
+
+    g = build_graph(5, [(0, 1, -0.3), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, -0.3)])
+    monkeypatch.setattr(rs, "node_pair_resistance_matrix", refuse)
+    assert lmi_psd_check(g)
+    assert multi_negative_edge_thresholds(g).thresholds == {0: pytest.approx(0.5), 5: pytest.approx(0.5)}
+    assert total_resistance_necessary_check(g)
+
+
 def test_negative_cut_verdict():
     assert negative_cut_verdict(build_graph(3, [(0, 1, 1.0), (1, 2, -1.0)])) == "indefinite_by_cut"
     assert negative_cut_verdict(TRIANGLE) == "inconclusive"
