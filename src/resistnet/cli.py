@@ -223,6 +223,12 @@ def _analysis_document(g: gr.WeightedGraph, tol: float) -> dict:
     return doc
 
 
+def _print_edge_rows(table: Table, name: str) -> None:
+    """``  edge k: value`` for each row of a per-edge table, in one write."""
+    columns = table.columns
+    print("\n".join(f"  edge {k}: {v}" for k, v in zip(columns["edge"], map(_fmt, columns[name]))))
+
+
 def _print_analysis_text(doc: dict) -> None:
     graph = doc["graph"]
     print(f"graph: {graph['nodes']} nodes, {graph['edges']} edges, "
@@ -251,9 +257,7 @@ def _print_analysis_text(doc: dict) -> None:
               f"(path supports of edges {thresholds['overlapping_edges']} overlap)")
     elif thresholds["per_edge"]:
         print("negative-edge thresholds (|w| must stay below):")
-        columns = thresholds["per_edge"].columns
-        for k, v in zip(columns["edge"], columns["threshold"]):
-            print(f"  edge {k}: {_fmt(v)}")
+        _print_edge_rows(thresholds["per_edge"], "threshold")
     margin = doc.get("margin")
     if margin is None:
         print(f"margin: unavailable ({doc.get('margin_note', 'n/a')})")
@@ -276,9 +280,7 @@ def _print_margin_text(margin: dict, sector: dict | None = None) -> None:
     per_edge = margin["per_edge"]
     if len(per_edge) > 1:
         print("per-edge margins:")
-        columns = per_edge.columns
-        for k, v in zip(columns["edge"], columns["margin"]):
-            print(f"  edge {k}: {_fmt(v)}")
+        _print_edge_rows(per_edge, "margin")
     print(f"note: {margin['note']}")
     if sector is not None:
         print(f"sector verdict: {'stable' if sector['stable'] else 'not certified'} "

@@ -322,6 +322,54 @@ def test_margin_json(capsys, triangle_file):
     assert doc["margin"]["bounds"]["r_total"] == 2.0
 
 
+def geometric_graph_file(tmp_path, n, seed):
+    """Connected unit-square geometric graph: points within 1.9 sqrt(ln n / (pi n))
+    joined, weight radius / distance capped at 10."""
+    rng = np.random.default_rng(seed)
+    radius = 1.9 * math.sqrt(math.log(n) / (math.pi * n))
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        points = rng.random((n, 2))
+        d = np.hypot(*(points[iu] - points[ju]).T)
+        near = d < radius
+        edges = [(int(u), int(v), min(radius / x, 10.0)) for u, v, x in zip(iu[near], ju[near], d[near])]
+        if resistnet.connected_components(build_graph(n, edges))[0] == 1:
+            return write_graph(tmp_path, f"geometric{n}.json", n, edges)
+
+
+def edge_lines(rows, name):
+    # the per-edge block as one print per row writes it
+    return "".join(f"  edge {row['edge']}: {format(row[name], '.12g')}\n" for row in rows)
+
+
+@pytest.mark.parametrize("graph, argv", [
+    ("geometric", ["margin"]),
+    ("geometric", ["margin", "--edges", "set:0,17,400"]),
+    ("geometric", ["analyze"]),
+    ("signed_chain", ["analyze"]),
+])
+def test_text_mode_edge_rows_match_the_json_rows(capsys, tmp_path, graph, argv):
+    if graph == "geometric":
+        path = geometric_graph_file(tmp_path, 150, 1)
+    else:  # one -0.3 edge per unit triangle: eight thresholds
+        path = triangle_chain_file(tmp_path, negative=tuple(range(0, 24, 3)))
+    code, out, _ = run(capsys, *argv[:1], path, *argv[1:])
+    _, text, _ = run(capsys, *argv[:1], path, *argv[1:], "--json")
+    assert code == 0
+    doc = json.loads(text)
+    blocks = [("per-edge margins:\n", doc["margin"]["per_edge"], "margin")]
+    if argv[0] == "analyze":
+        thresholds = doc["negative_edge_diagnostics"]["thresholds"]
+        if thresholds["applicable"] and thresholds["per_edge"]:
+            blocks.append(("negative-edge thresholds (|w| must stay below):\n", thresholds["per_edge"], "threshold"))
+    rows = 0
+    for header, per_edge, name in blocks:
+        assert header + edge_lines(per_edge, name) in out
+        rows += len(per_edge)
+    assert out.count("\n  edge ") == rows
+    assert rows >= (3 if graph == "geometric" else 8 + 24)
+
+
 # ---------------------------------------------------------------- simulate
 
 

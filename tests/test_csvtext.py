@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import resistnet
-from resistnet._csvtext import csv_blocks
+from resistnet._csvtext import _significands, csv_blocks
 
 
 def reference(rows):
@@ -75,7 +75,44 @@ def test_exact_ties_round_half_to_even():
     odd = np.arange(1, 2 ** 17, 2, dtype=float)
     values = np.concatenate([a + odd * 2.0 ** -17 for a in range(1, 10)])
     assert_same_text(values.reshape(-1, 512))
+    assert not _significands(values)[-1].any()  # exact, so the engine rounds them itself
     assert engine([[1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17]]) == b"1.0000076293945312,1.0000228881835938\n"
+
+
+def decimal_values(significands, exponents):
+    # every 17-digit significand string at every decimal exponent, with
+    # alternating signs: the doubles nearest to d.ddd...e<X>
+    texts = [f"{'-' if i % 2 else ''}{s[0]}.{s[1:]}e{e}" for e in exponents for i, s in enumerate(significands)]
+    return np.array([float(t) for t in texts])
+
+
+def test_every_digit_group_at_every_group_position():
+    # a 4-digit group 0000-9999 at significand digits 1-4, 2-5, 6-9, 10-13
+    # and 14-17, the rest zeros or one fixed digit string, in fixed notation
+    # (-4, -1, 0, 7, 16) and just outside it on both sides (-5, 17)
+    rest = "31415926535897932384"
+    significands = []
+    for offset in (0, 1, 5, 9, 13):
+        for fill in ("0" * 17, rest[:17]):
+            significands += [fill[:offset] + "%04d" % v + fill[offset + 4:] for v in range(10 ** 4)]
+    values = decimal_values(significands, (-5, -4, -1, 0, 7, 16, 17))
+    assert_same_text(values.reshape(-1, 1000))
+
+
+def test_every_significant_digit_count_at_every_exponent():
+    # 1 to 17 significant digits (the last one nonzero) at decimal exponents
+    # -6 to 18: every trailing-zero strip, point position and the two
+    # fixed/scientific boundaries
+    rng = np.random.default_rng(22)
+    significands = []
+    for count in range(1, 18):
+        for _ in range(12):
+            digits = rng.integers(0, 10, size=count)
+            digits[0] = rng.integers(1, 10)
+            digits[-1] = rng.integers(1, 10)
+            significands.append("".join(map(str, digits)).ljust(17, "0"))
+    values = decimal_values(significands, range(-6, 19))
+    assert_same_text(values.reshape(-1, 17 * 12))
 
 
 def test_zeros_and_non_finite_values():
